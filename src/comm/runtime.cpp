@@ -77,15 +77,37 @@ void run_halo_node(const HaloUpdater& halo, const ir::SNode& node,
 
 void run_lockstep_step(const ir::Program& program, const HaloUpdater& halo,
                        std::vector<RankDomain>& ranks, Comm& comm) {
-  CY_REQUIRE_MSG(static_cast<int>(ranks.size()) == halo.partitioner().num_ranks(),
-                 "rank count mismatch");
-  for (int sidx : program.flatten_execution_order()) {
-    const ir::State& st = program.states()[static_cast<size_t>(sidx)];
+  const ir::Program* programs = &program;
+  const HaloUpdater* halos = &halo;
+  std::vector<RankDomain>* rank_sets = &ranks;
+  Comm* comms = &comm;
+  run_lockstep_step({&programs, 1}, {&halos, 1}, {&rank_sets, 1}, {&comms, 1});
+}
+
+void run_lockstep_step(std::span<const ir::Program* const> programs,
+                       std::span<const HaloUpdater* const> halos,
+                       std::span<std::vector<RankDomain>* const> ranks,
+                       std::span<Comm* const> comms) {
+  const size_t n = programs.size();
+  CY_REQUIRE_MSG(n > 0 && halos.size() == n && ranks.size() == n && comms.size() == n,
+                 "lockstep batch needs one program, halo updater, rank set and comm per "
+                 "instance");
+  for (size_t m = 0; m < n; ++m) {
+    CY_REQUIRE_MSG(static_cast<int>(ranks[m]->size()) == halos[m]->partitioner().num_ranks(),
+                   "rank count mismatch");
+  }
+  const ir::Program& lead = *programs[0];
+  for (int sidx : lead.flatten_execution_order()) {
+    const ir::State& st = lead.states()[static_cast<size_t>(sidx)];
     if (is_halo_only(st)) {
-      for (const auto& node : st.nodes) run_halo_node(halo, node, ranks, comm);
+      for (size_t m = 0; m < n; ++m) {
+        for (const auto& node : st.nodes) run_halo_node(*halos[m], node, *ranks[m], *comms[m]);
+      }
       continue;
     }
-    for (auto& rd : ranks) program.execute_state(sidx, *rd.catalog, rd.dom);
+    for (size_t m = 0; m < n; ++m) {
+      for (auto& rd : *ranks[m]) programs[m]->execute_state(sidx, *rd.catalog, rd.dom);
+    }
   }
 }
 
@@ -241,14 +263,6 @@ ConcurrentRuntime::ConcurrentRuntime(const ir::Program& program, const HaloUpdat
                  "rank count mismatch with halo updater");
   for (const auto& rd : ranks_) CY_REQUIRE_MSG(rd.catalog, "rank without catalog");
 
-  order_ = program.flatten_execution_order();
-  halo_only_.resize(program.states().size());
-  plans_.resize(program.states().size());
-  for (size_t s = 0; s < program.states().size(); ++s) {
-    halo_only_[s] = is_halo_only(program.states()[s]) ? 1 : 0;
-    if (!halo_only_[s]) plans_[s] = analyze_overlap(program, static_cast<int>(s));
-  }
-
   // One program copy per rank. The copy shares the immutable stencil IR
   // (shared_ptr) but must not share the executor caches: CompiledStencil
   // keeps a mutable temp pool, which would race across rank threads.
@@ -261,6 +275,7 @@ ConcurrentRuntime::ConcurrentRuntime(const ir::Program& program, const HaloUpdat
     programs_.back().set_run_options(per_rank);
     programs_.back().precompile();
   }
+  analyze_states();
 
   heartbeats_ = std::make_unique<std::atomic<long>[]>(ranks_.size());
   for (size_t r = 0; r < ranks_.size(); ++r) heartbeats_[r].store(0, std::memory_order_relaxed);
@@ -285,8 +300,21 @@ void ConcurrentRuntime::set_fault_options(const FaultPlan& faults, const Recover
   step_index_ = 0;
 }
 
-bool ConcurrentRuntime::can_overlap(int rank, int state_index) const {
-  const OverlapPlan& plan = plans_[static_cast<size_t>(state_index)];
+void ConcurrentRuntime::analyze_states() {
+  const ir::Program& program = programs_[0];
+  const size_t nstates = program.states().size();
+  order_ = program.flatten_execution_order();
+  halo_only_.assign(nstates, 0);
+  plans_.assign(nstates, OverlapPlan{});
+  for (size_t s = 0; s < nstates; ++s) {
+    halo_only_[s] = is_halo_only(program.states()[s]) ? 1 : 0;
+    if (!halo_only_[s]) plans_[s] = analyze_overlap(program, static_cast<int>(s));
+  }
+}
+
+bool ConcurrentRuntime::fuses_next(int rank, size_t p) const {
+  if (!options_.overlap || p + 1 >= order_.size()) return false;
+  const OverlapPlan& plan = plans_[static_cast<size_t>(order_[p + 1])];
   if (!plan.splittable) return false;
   const exec::LaunchDomain& dom = ranks_[static_cast<size_t>(rank)].dom;
   // The four rim strips tile the boundary only while 2R fits the subdomain;
@@ -345,9 +373,7 @@ void ConcurrentRuntime::run_rank(int rank) {
     }
     const ir::State& st = prog.states()[static_cast<size_t>(sidx)];
     for (const auto& node : st.nodes) start_halo_node_rank(halo_, node, rd, rank, comm_);
-    const bool overlap =
-        options_.overlap && p + 1 < order_.size() && can_overlap(rank, order_[p + 1]);
-    if (!overlap) {
+    if (!fuses_next(rank, p)) {
       for (const auto& node : st.nodes) finish_halo_node_rank(halo_, node, rd, rank, comm_);
       continue;
     }
@@ -385,24 +411,19 @@ void ConcurrentRuntime::online_retune() {
   }
   if (online_->done()) return;
   if (online_->tune_slice() == 0) return;
-  for (size_t r = 0; r < ranks_.size(); ++r) {
-    const std::vector<int> swapped = online_->hot_swap(programs_[r]);
-    if (r == 0) {
-      // The overlap plans were derived from the pre-swap states; a fused
-      // state can change its splittability or read radius, so re-analyze
-      // exactly the swapped states before any rank uses them.
-      for (const int s : swapped) {
-        halo_only_[static_cast<size_t>(s)] = is_halo_only(programs_[0].states()[static_cast<size_t>(s)]) ? 1 : 0;
-        if (!halo_only_[static_cast<size_t>(s)]) {
-          plans_[static_cast<size_t>(s)] = analyze_overlap(programs_[0], s);
-        }
-      }
-    }
+  bool swapped = false;
+  for (ir::Program& program : programs_) {
+    // Every rank copy receives the same staged swaps.
+    swapped = !online_->hot_swap(program).empty();
     // Rebuild executor caches (and, on the JIT backend, run codegen and the
     // host compiler) here on the coordinator thread — spare cycles between
     // steps — so swapped kernels never compile on a rank thread's hot path.
-    programs_[r].precompile();
+    program.precompile();
   }
+  // The tables were derived from the pre-swap states; a fused state can
+  // change its splittability or read radius, so re-derive them before any
+  // rank uses them.
+  if (swapped) analyze_states();
   online_->commit();
 }
 
@@ -507,7 +528,7 @@ void ConcurrentRuntime::step() {
   for (size_t p = 0; p < order_.size(); ++p) {
     if (!halo_only_[static_cast<size_t>(order_[p])]) continue;
     ++stats_.halo_states;
-    if (options_.overlap && p + 1 < order_.size() && can_overlap(0, order_[p + 1])) {
+    if (fuses_next(0, p)) {
       ++stats_.overlapped_states;
       ++p;
     }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,10 +136,24 @@ std::string run_report_to_json(const RunReport& report);
 /// Execute one program pass over all ranks with the sequential phase-based
 /// scheduler: compute states run per rank in rank order; halo-only states
 /// run as collective exchanges through `comm`. This is the lockstep
-/// reference the concurrent runtime is verified bitwise against (and the
-/// loop fv3::DistributedModel::step used to inline).
+/// reference the concurrent runtime is verified bitwise against. It is the
+/// batched overload below with a single instance.
 void run_lockstep_step(const ir::Program& program, const HaloUpdater& halo,
                        std::vector<RankDomain>& ranks, Comm& comm);
+
+/// The same lockstep pass for a batch of independent instances of one
+/// program (the ensemble runtime's batched member sweep). Instance m is
+/// (programs[m], halos[m], ranks[m], comms[m]); the state order comes from
+/// programs[0], and the instance loop is folded inside every phase: each
+/// compute state runs instance by instance over its ranks, each halo-only
+/// state exchanges instance by instance. Every instance executes the same
+/// states in the same order as its solo pass, so each result is bitwise
+/// equal to a solo run by construction. Programs must be per-instance
+/// copies: executor caches and JIT handles are not shared.
+void run_lockstep_step(std::span<const ir::Program* const> programs,
+                       std::span<const HaloUpdater* const> halos,
+                       std::span<std::vector<RankDomain>* const> ranks,
+                       std::span<Comm* const> comms);
 
 /// Run a single halo-exchange node collectively over all ranks (exchange +
 /// cube-corner fills), exactly as the lockstep scheduler does.
@@ -146,9 +161,10 @@ void run_halo_node(const HaloUpdater& halo, const ir::SNode& node,
                    std::vector<RankDomain>& ranks, Comm& comm);
 
 /// Whether every node of a state is a halo exchange (such states run as
-/// collective exchanges; anything else executes per rank). Exposed so other
-/// schedulers — the ensemble runtime's batched member sweep — can mirror the
-/// lockstep loop structure exactly.
+/// collective exchanges; anything else executes per rank). Every scheduler
+/// classifies states with it: both lockstep overloads and the concurrent
+/// runtime, and external tools that rebuild the lockstep loop from these
+/// public calls (per-state tracing, for one).
 bool is_halo_only(const ir::State& st);
 
 /// Whether (and how deep) a state's launch may be split into an interior
@@ -290,8 +306,14 @@ class ConcurrentRuntime {
  private:
   void run_rank(int rank);
   void online_retune();
+  /// (Re)derive order_, halo_only_ and plans_ from rank 0's program copy
+  /// (every copy is structurally identical).
+  void analyze_states();
   void execute_with_ext(int rank, int state_index, const exec::DomainExt& ext);
-  [[nodiscard]] bool can_overlap(int rank, int state_index) const;
+  /// Whether `rank` fuses the state after position `p` of the order (a
+  /// halo-only state) into the exchange: interior while messages fly, rim
+  /// after the wait.
+  [[nodiscard]] bool fuses_next(int rank, size_t p) const;
 
   const HaloUpdater& halo_;
   std::vector<RankDomain> ranks_;

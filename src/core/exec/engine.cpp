@@ -10,7 +10,7 @@
 namespace cyclone::exec {
 
 int resolved_num_threads(const RunOptions& run) {
-  if (!run.parallel) return 1;
+  if (run.backend == ExecBackend::Tape) return 1;
   if (run.num_threads > 0) return run.num_threads;
 #ifdef _OPENMP
   return omp_get_max_threads();

@@ -21,7 +21,7 @@ struct Tile {
 /// their actual low corner, not from zero.
 std::vector<Tile> decompose_tiles(const Rect& rect, int tile_i, int tile_j);
 
-/// Thread count a run resolves to: 1 when parallel execution is disabled or
+/// Thread count a run resolves to: 1 on the serial Tape backend or when
 /// OpenMP is absent, the explicit request when given, else the OpenMP
 /// runtime default.
 int resolved_num_threads(const RunOptions& run);

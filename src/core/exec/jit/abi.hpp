@@ -7,7 +7,7 @@ namespace cyclone::exec::jit {
 /// ABI version of the generated-kernel interface. Mixed into every cache
 /// key, so a layout change here silently invalidates all cached modules
 /// instead of loading kernels compiled against the old struct layout.
-inline constexpr int kAbiVersion = 1;
+inline constexpr int kAbiVersion = 2;
 
 /// Resolved storage of one slot, as seen by a generated kernel. Mirrors
 /// exec::SlotBind with the i stride dropped: the host only dispatches to
@@ -52,8 +52,7 @@ struct CyJitArgs {
   double* scratch;            ///< two-phase commit buffer (host-sized)
   int tile_j;                 ///< j band size; <= 0 derives one band/thread
   int k_as_map;               ///< schedule.k_as_map
-  int num_threads;            ///< resolved team size (>= 1)
-  int parallel;               ///< 0 forces the serial path
+  int num_threads;            ///< resolved team size (>= 1; 1 = serial path)
 };
 
 static_assert(sizeof(CyJitSlot) == 32, "generated kernels assume this layout");

@@ -198,7 +198,7 @@ void emit_parallel_stmt(std::ostringstream& os, const CStmt& stmt, int fs) {
   os << "    if (b.ihi > b.ilo && b.jhi > b.jlo && b.khi > b.klo) {\n";
   emit_band_setup(os, "      ", "b.jlo", "b.jhi");
   os << "      const long long cy_w = (long long)(b.ihi - b.ilo) * cy_nj * (b.khi - b.klo);\n";
-  os << "      const int cy_go = cy_par && cy_nt > 1 && cy_w > 1024;\n";
+  os << "      const int cy_go = cy_nt > 1 && cy_w > 1024;\n";
   os << "      (void)cy_go;\n";
 
   if (!stmt.info.self_read_offset) {
@@ -280,7 +280,7 @@ void emit_columns_interval(std::ostringstream& os, const CInterval& iv, bool fwd
   os << "    if (v.k1 > v.k0 && v.jhi > v.jlo && v.ihi > v.ilo) {\n";
   emit_band_setup(os, "      ", "v.jlo", "v.jhi");
   os << "      const long long cy_w = (long long)(v.ihi - v.ilo) * cy_nj * (v.k1 - v.k0);\n";
-  os << "      const int cy_go = cy_par && cy_nt > 1 && cy_w > 1024;\n";
+  os << "      const int cy_go = cy_nt > 1 && cy_w > 1024;\n";
   os << "      (void)cy_go;\n";
   os << "#pragma omp parallel for schedule(static) num_threads(cy_nt) if(cy_go)\n";
   os << "      for (int jb = 0; jb < cy_njb; ++jb) {\n";
@@ -331,7 +331,7 @@ void emit_plane_interval(std::ostringstream& os, const CInterval& iv, bool fwd, 
     os << "        if (k >= b.klo && k < b.khi && b.ihi > b.ilo && b.jhi > b.jlo) {\n";
     emit_band_setup(os, "          ", "b.jlo", "b.jhi");
     os << "          const long long cy_w = (long long)(b.ihi - b.ilo) * cy_nj;\n";
-    os << "          const int cy_go = cy_par && cy_nt > 1 && cy_w > 1024;\n";
+    os << "          const int cy_go = cy_nt > 1 && cy_w > 1024;\n";
     os << "          (void)cy_go;\n";
     if (!stmt.info.self_read_offset) {
       os << "#pragma omp parallel for schedule(static) num_threads(cy_nt) if(cy_go)\n";
@@ -380,8 +380,7 @@ void emit_kernel(std::ostringstream& os, const CompiledStencil& cs, int index) {
   os << "  const CyJitSlot* CY_S = A->slots;\n";
   os << "  const double* CY_P = A->params;\n";
   os << "  const int cy_nt = A->num_threads;\n";
-  os << "  const int cy_par = A->parallel;\n";
-  os << "  (void)CY_S; (void)CY_P; (void)cy_nt; (void)cy_par;\n";
+  os << "  (void)CY_S; (void)CY_P; (void)cy_nt;\n";
   int fs = 0;
   int fi = 0;
   for (const CBlock& block : cs.blocks()) {
@@ -449,7 +448,6 @@ std::string emit_translation_unit(const std::vector<const CompiledStencil*>& ste
   os << "  int tile_j;\n";
   os << "  int k_as_map;\n";
   os << "  int num_threads;\n";
-  os << "  int parallel;\n";
   os << "};\n";
   os << "static inline int cy_imin(int a, int b) { return a < b ? a : b; }\n";
   os << "static inline int cy_imax(int a, int b) { return a < b ? b : a; }\n";

@@ -144,7 +144,6 @@ void JitProgram::run(const CompiledStencil& cs, FieldCatalog& catalog, const Ste
   a.tile_j = schedule.tile_j;
   a.k_as_map = schedule.k_as_map ? 1 : 0;
   a.num_threads = resolved_num_threads(run);
-  a.parallel = run.parallel ? 1 : 0;
   fn(&a);
 }
 

@@ -86,23 +86,23 @@ const char* tune_mode_name(TuneMode mode);
 /// `out` untouched on unknown names.
 bool parse_tune_mode(const std::string& name, TuneMode& out);
 
-/// How compiled stencils execute (the on-node analog of DaCe's OpenMP
-/// sections): `num_threads` caps the team size (0 defers to the OpenMP
-/// runtime, i.e. OMP_NUM_THREADS); `parallel = false` forces the serial
-/// path through the same tape, which is what the verify harness diffs the
-/// parallel engine against.
+/// How a program's stencils execute (the on-node analog of DaCe's OpenMP
+/// sections). `backend` is the one executor selector; `num_threads` caps
+/// the team size of the threaded backends (0 defers to the OpenMP runtime,
+/// i.e. OMP_NUM_THREADS).
 struct RunOptions {
   int num_threads = 0;
-  bool parallel = true;
   /// OpenMP team size budget for each rank thread of the concurrent
   /// distributed runtime (0 = one thread per rank, i.e. no nested
   /// parallelism). Rank threads and OpenMP teams compose: total hardware
   /// threads used is num_ranks * threads_per_rank.
   int threads_per_rank = 0;
-  /// Executor selection. Tape forces the serial tape path regardless of
-  /// `parallel`; Interpreter routes through the reference executor; Jit
-  /// runs generated native kernels and falls back to the tape engine (with
-  /// a logged warning) when no host compiler is available.
+  /// Executor selection. Interpreter routes through the serial reference
+  /// executor; Tape runs the compiled tape as a team of one (the serial
+  /// path the verify harness diffs the threaded engines against); OpenMP
+  /// runs the same tape on `num_threads` threads; Jit runs generated native
+  /// kernels and falls back to the OpenMP tape engine (with a logged
+  /// warning) when no host compiler is available.
   ExecBackend backend = ExecBackend::OpenMP;
   /// Ensemble member-batch size: how many members a batched stencil sweep
   /// advances before moving to the next program state (0 = all members in

@@ -115,9 +115,9 @@ class CompiledStencil {
   [[nodiscard]] const std::vector<std::string>& param_names() const { return param_names_; }
 
   /// Execute under a schedule (tiling, map-vs-loop) and run options (thread
-  /// count, parallel on/off). The default-schedule overloads keep the
-  /// serial-era call sites working: an untiled schedule plus default run
-  /// options reproduces the original executor bit-for-bit.
+  /// count; the Tape backend runs a team of one). The default-schedule
+  /// overloads keep the serial-era call sites working: an untiled schedule
+  /// plus default run options reproduces the original executor bit-for-bit.
   void run(FieldCatalog& catalog, const StencilArgs& args, const LaunchDomain& dom,
            const sched::Schedule& schedule, const RunOptions& run_options) const;
   void run(FieldCatalog& catalog, const StencilArgs& args, const LaunchDomain& dom) const {

@@ -85,32 +85,16 @@ void Program::exec_state(const State& state, FieldCatalog& catalog,
         node_dom.ext.ihi = node.ext.ihi + dom.ext.ihi;
         node_dom.ext.jlo = node.ext.jlo + dom.ext.jlo;
         node_dom.ext.jhi = node.ext.jhi + dom.ext.jhi;
-        if (backend_ == Backend::Reference ||
-            run_options_.backend == exec::ExecBackend::Interpreter) {
-          auto it = reference_.find(node.stencil.get());
-          if (it == reference_.end()) {
-            it = reference_
-                     .emplace(node.stencil.get(),
-                              std::make_shared<exec::RefExecutor>(*node.stencil))
-                     .first;
-          }
-          it->second->run(catalog, node.args, node_dom);
+        if (run_options_.backend == exec::ExecBackend::Interpreter) {
+          reference_executor(*node.stencil).run(catalog, node.args, node_dom);
           break;
         }
-        auto it = compiled_.find(node.stencil.get());
-        if (it == compiled_.end()) {
-          it = compiled_
-                   .emplace(node.stencil.get(),
-                            std::make_shared<exec::CompiledStencil>(*node.stencil))
-                   .first;
-        }
-        exec::RunOptions run = run_options_;
-        if (run.backend == exec::ExecBackend::Tape) run.parallel = false;
-        if (run.backend == exec::ExecBackend::Jit) {
+        const exec::CompiledStencil& cs = *compiled_executor(*node.stencil);
+        if (run_options_.backend == exec::ExecBackend::Jit) {
           ensure_jit();
-          jit_->run(*it->second, catalog, node.args, node_dom, node.schedule, run);
+          jit_->run(cs, catalog, node.args, node_dom, node.schedule, run_options_);
         } else {
-          it->second->run(catalog, node.args, node_dom, node.schedule, run);
+          cs.run(catalog, node.args, node_dom, node.schedule, run_options_);
         }
         break;
       }
@@ -125,26 +109,34 @@ void Program::exec_state(const State& state, FieldCatalog& catalog,
   }
 }
 
+const exec::RefExecutor& Program::reference_executor(const dsl::StencilFunc& stencil) const {
+  auto& slot = reference_[&stencil];
+  if (!slot) slot = std::make_shared<exec::RefExecutor>(stencil);
+  return *slot;
+}
+
+const std::shared_ptr<exec::CompiledStencil>& Program::compiled_executor(
+    const dsl::StencilFunc& stencil) const {
+  auto& slot = compiled_[&stencil];
+  if (!slot) slot = std::make_shared<exec::CompiledStencil>(stencil);
+  return slot;
+}
+
 void Program::precompile() const {
+  const bool interpret = run_options_.backend == exec::ExecBackend::Interpreter;
   for (const auto& state : states_) {
     for (const auto& node : state.nodes) {
       if (node.kind != SNode::Kind::Stencil) continue;
-      if (backend_ == Backend::Reference) {
-        if (!reference_.count(node.stencil.get())) {
-          reference_.emplace(node.stencil.get(),
-                             std::make_shared<exec::RefExecutor>(*node.stencil));
-        }
-      } else if (!compiled_.count(node.stencil.get())) {
-        compiled_.emplace(node.stencil.get(),
-                          std::make_shared<exec::CompiledStencil>(*node.stencil));
+      if (interpret) {
+        reference_executor(*node.stencil);
+      } else {
+        compiled_executor(*node.stencil);
       }
     }
   }
   // Build the native module up front when the Jit backend is selected, so
   // codegen and host compilation never land on the measured critical path.
-  if (backend_ != Backend::Reference && run_options_.backend == exec::ExecBackend::Jit) {
-    ensure_jit();
-  }
+  if (run_options_.backend == exec::ExecBackend::Jit) ensure_jit();
 }
 
 void Program::ensure_jit() const {
@@ -156,16 +148,10 @@ void Program::ensure_jit() const {
   for (const auto& state : states_) {
     for (const auto& node : state.nodes) {
       if (node.kind != SNode::Kind::Stencil) continue;
-      auto it = compiled_.find(node.stencil.get());
-      if (it == compiled_.end()) {
-        it = compiled_
-                 .emplace(node.stencil.get(),
-                          std::make_shared<exec::CompiledStencil>(*node.stencil))
-                 .first;
-      }
+      const auto& cs = compiled_executor(*node.stencil);
       bool seen = false;
-      for (const auto& [name, cs] : list) seen |= cs == it->second;
-      if (!seen) list.emplace_back(node.stencil->name(), it->second);
+      for (const auto& [name, listed] : list) seen |= listed == cs;
+      if (!seen) list.emplace_back(node.stencil->name(), cs);
     }
   }
   jit_ = exec::jit::JitProgram::build(name_, list);

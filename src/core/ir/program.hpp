@@ -190,16 +190,11 @@ class Program {
   /// GraphViz dump of the control flow + states for debugging.
   [[nodiscard]] std::string to_dot() const;
 
-  /// Execution backend: Compiled is the bytecode fast path; Reference is
-  /// the slow interpreter that *defines* the DSL semantics (the analog of
-  /// GT4Py's debug/numpy backends for pinpointing codegen bugs).
-  enum class Backend { Compiled, Reference };
-  void set_backend(Backend backend) { backend_ = backend; }
-  [[nodiscard]] Backend backend() const { return backend_; }
-
-  /// Execution options of the compiled backend (thread count, parallel
-  /// on/off). The reference interpreter ignores them: it stays serial by
-  /// construction, which is what makes it the oracle the parallel engine is
+  /// Execution options: `run.backend` is the one executor selector
+  /// (exec::ExecBackend). The Interpreter backend *defines* the DSL
+  /// semantics (the analog of GT4Py's debug/numpy backends for pinpointing
+  /// codegen bugs) and ignores the thread options: it stays serial by
+  /// construction, which is what makes it the oracle every other backend is
   /// diffed against.
   void set_run_options(exec::RunOptions run) { run_options_ = run; }
   [[nodiscard]] const exec::RunOptions& run_options() const { return run_options_; }
@@ -213,12 +208,17 @@ class Program {
     jit_.reset();
   }
 
-  /// Warm the executor cache for every stencil node up front, so concurrent
-  /// rank threads never compile lazily mid-run (compilation is pure, but
-  /// doing it on the critical path skews measured wall-clock).
+  /// Warm the executor cache of the selected backend for every stencil node
+  /// up front, so concurrent rank threads never compile lazily mid-run
+  /// (compilation is pure, but doing it on the critical path skews measured
+  /// wall-clock).
   void precompile() const;
 
  private:
+  /// Find-or-build the cached executor of one stencil (keyed by identity).
+  const exec::RefExecutor& reference_executor(const dsl::StencilFunc& stencil) const;
+  const std::shared_ptr<exec::CompiledStencil>& compiled_executor(
+      const dsl::StencilFunc& stencil) const;
   void ensure_jit() const;
   void exec_cf(const CFNode& node, FieldCatalog& catalog, const exec::LaunchDomain& dom,
                const HaloHandler& halo) const;
@@ -230,7 +230,6 @@ class Program {
   std::vector<State> states_;
   CFNode root_ = CFNode::sequence();
   std::map<std::string, FieldMeta> field_meta_;
-  Backend backend_ = Backend::Compiled;
   exec::RunOptions run_options_{};
   /// Executor caches keyed by StencilFunc identity.
   mutable std::map<const dsl::StencilFunc*, std::shared_ptr<exec::CompiledStencil>> compiled_;

@@ -228,7 +228,6 @@ bool cutout_equivalent(const ir::Program& parent, const ir::State& before,
 double measure_state(const ir::Program& program, const ir::State& state,
                      const TuningOptions& options) {
   ir::Program cut = cutout_program(program, state);
-  cut.set_backend(ir::Program::Backend::Compiled);  // time what production runs
   cut.set_run_options(options.run);
   cut.precompile();
   FieldCatalog cat =

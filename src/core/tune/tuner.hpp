@@ -56,7 +56,7 @@ struct TuningOptions {
   /// Timed repetitions per candidate (minimum is taken, after one warm-up
   /// run that builds executor caches and temporary pools).
   int measure_reps = 3;
-  /// Engine options used for measured runs (thread count, parallel on/off).
+  /// Engine options used for measured runs (backend, thread count).
   exec::RunOptions run;
 
   /// Evaluate every fusible candidate pair (the pre-v2 enumeration). This is

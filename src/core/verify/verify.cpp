@@ -266,17 +266,23 @@ FieldDivergence diverge_field(const std::string& name, const FieldCatalog& a,
   return d;
 }
 
-/// How one side of a differential run executes: backend, run options, and an
-/// optional override of every stencil node's schedule tiles (>= 0 applies).
+/// How one side of a differential run executes: run options (backend
+/// included), and an optional override of every stencil node's schedule
+/// tiles (>= 0 applies).
 struct ExecConfig {
-  ir::Program::Backend backend = ir::Program::Backend::Reference;
   exec::RunOptions run{};
   int tile_i = -1;
   int tile_j = -1;
 };
 
+/// The oracle side: the serial reference interpreter.
+ExecConfig reference_side() {
+  ExecConfig cfg;
+  cfg.run.backend = exec::ExecBackend::Interpreter;
+  return cfg;
+}
+
 void configure_side(ir::Program& prog, const ExecConfig& cfg) {
-  prog.set_backend(cfg.backend);
   prog.set_run_options(cfg.run);
   if (cfg.tile_i < 0 && cfg.tile_j < 0) return;
   for (auto& state : prog.states()) {
@@ -344,14 +350,12 @@ FieldCatalog make_test_catalog(const ir::Program& a, const ir::Program& b,
 
 EquivalenceReport check_equivalent(const ir::Program& original, const ir::Program& transformed,
                                    const VerifyOptions& options) {
-  return run_differential(original, transformed, ExecConfig{ir::Program::Backend::Reference},
-                          ExecConfig{ir::Program::Backend::Reference}, options);
+  return run_differential(original, transformed, reference_side(), reference_side(), options);
 }
 
 EquivalenceReport check_backends_agree(const ir::Program& program,
                                        const VerifyOptions& options) {
-  return run_differential(program, program, ExecConfig{ir::Program::Backend::Reference},
-                          ExecConfig{ir::Program::Backend::Compiled}, options);
+  return run_differential(program, program, reference_side(), ExecConfig{}, options);
 }
 
 EquivalenceReport check_parallel_agrees(const ir::Program& program, const exec::RunOptions& run,
@@ -359,8 +363,7 @@ EquivalenceReport check_parallel_agrees(const ir::Program& program, const exec::
   // The determinism contract is bitwise: no tolerance, no absolute slack.
   options.max_ulps = 0.0;
   options.abs_floor = 0.0;
-  return run_differential(program, program, ExecConfig{ir::Program::Backend::Reference},
-                          ExecConfig{ir::Program::Backend::Compiled, run, tile_i, tile_j},
+  return run_differential(program, program, reference_side(), ExecConfig{run, tile_i, tile_j},
                           options);
 }
 
@@ -368,9 +371,8 @@ EquivalenceReport check_equivalent_parallel(const ir::Program& original,
                                             const ir::Program& transformed,
                                             const exec::RunOptions& run, int tile_i, int tile_j,
                                             const VerifyOptions& options) {
-  return run_differential(original, transformed, ExecConfig{ir::Program::Backend::Reference},
-                          ExecConfig{ir::Program::Backend::Compiled, run, tile_i, tile_j},
-                          options);
+  return run_differential(original, transformed, reference_side(),
+                          ExecConfig{run, tile_i, tile_j}, options);
 }
 
 EquivalenceReport check_parallel_determinism(const ir::Program& program,

@@ -106,7 +106,7 @@ EquivalenceReport check_equivalent(const ir::Program& original, const ir::Progra
                                    const VerifyOptions& options = {});
 
 /// Self-consistency check of the execution backends: the same program run
-/// once through the compiled tape executor and once through the reference
+/// once on the default (OpenMP) backend and once through the reference
 /// interpreter must agree. Catches codegen bugs rather than transformation
 /// bugs (the GT4Py debug-backend methodology).
 EquivalenceReport check_backends_agree(const ir::Program& program,

@@ -38,7 +38,6 @@ EnsembleRunner<Model>::EnsembleRunner(const Config& config, EnsembleOptions opti
   CY_REQUIRE_MSG(!options_.members.empty(), "ensemble needs at least one member");
   const int n = members();
   models_.reserve(static_cast<size_t>(n));
-  domains_.reserve(static_cast<size_t>(n));
   for (int m = 0; m < n; ++m) {
     auto placers = [this, m](int rank) { return arena_.placer(m, rank); };
     models_.push_back(make_member<Model>(config_, options_.num_ranks, placers));
@@ -50,12 +49,6 @@ EnsembleRunner<Model>::EnsembleRunner(const Config& config, EnsembleOptions opti
     if (options_.scheduler == EnsembleOptions::Scheduler::Concurrent) {
       model.set_exec_mode(Model::ExecMode::Concurrent);
     }
-    std::vector<comm::RankDomain> ranks;
-    ranks.reserve(static_cast<size_t>(model.num_ranks()));
-    for (int r = 0; r < model.num_ranks(); ++r) {
-      ranks.push_back(comm::RankDomain{&model.state(r).catalog(), model.state(r).domain()});
-    }
-    domains_.push_back(std::move(ranks));
   }
 }
 
@@ -80,34 +73,26 @@ void EnsembleRunner<Model>::step() {
   member_steps_ += n;
 }
 
-/// The batched sweep: one pass of the lockstep scheduler with a member loop
-/// folded inside every phase. Mirrors comm::run_lockstep_step exactly —
-/// each member executes the same states in the same order against its own
-/// program copy (executor pointer caches and JIT handles stay per member),
-/// so every member's store sequence is identical to its solo run and the
-/// batched result is bitwise equal by construction.
+/// The batched sweep: one pass of the lockstep scheduler with the chunk's
+/// members folded inside every phase. Each member executes the same states
+/// in the same order against its own program copy (executor pointer caches
+/// and JIT handles stay per member), so every member's store sequence is
+/// identical to its solo run and the batched result is bitwise equal by
+/// construction.
 template <class Model>
 void EnsembleRunner<Model>::step_chunk(int mlo, int mhi) {
-  const ir::Program& program = models_[static_cast<size_t>(mlo)]->program();
-  for (int sidx : program.flatten_execution_order()) {
-    const ir::State& st = program.states()[static_cast<size_t>(sidx)];
-    if (comm::is_halo_only(st)) {
-      for (int m = mlo; m < mhi; ++m) {
-        Model& model = *models_[static_cast<size_t>(m)];
-        for (const auto& node : st.nodes) {
-          comm::run_halo_node(model.halo_updater(), node, domains_[static_cast<size_t>(m)],
-                              model.comm());
-        }
-      }
-      continue;
-    }
-    for (int m = mlo; m < mhi; ++m) {
-      Model& model = *models_[static_cast<size_t>(m)];
-      for (auto& rd : domains_[static_cast<size_t>(m)]) {
-        model.program().execute_state(sidx, *rd.catalog, rd.dom);
-      }
-    }
+  std::vector<const ir::Program*> programs;
+  std::vector<const comm::HaloUpdater*> halos;
+  std::vector<std::vector<comm::RankDomain>*> ranks;
+  std::vector<comm::Comm*> comms;
+  for (int m = mlo; m < mhi; ++m) {
+    Model& model = *models_[static_cast<size_t>(m)];
+    programs.push_back(&model.program());
+    halos.push_back(&model.halo_updater());
+    ranks.push_back(&model.rank_domains());
+    comms.push_back(&model.comm());
   }
+  comm::run_lockstep_step(programs, halos, ranks, comms);
 }
 
 template <class Model>

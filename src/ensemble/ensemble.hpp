@@ -114,7 +114,6 @@ class EnsembleRunner {
   EnsembleOptions options_;
   MemberArena arena_;
   std::vector<std::unique_ptr<Model>> models_;
-  std::vector<std::vector<comm::RankDomain>> domains_;  ///< per member
   long member_steps_ = 0;
 };
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "fv3/serialization.hpp"
-
 namespace cyclone::fv3 {
 
 bool GlobalDiagnostics::finite() const {
@@ -17,88 +15,13 @@ bool GlobalDiagnostics::finite() const {
 DistributedModel::DistributedModel(const FvConfig& config, int num_ranks,
                                    const DycoreSchedules& schedules,
                                    const std::function<FieldPlacer(int rank)>& placers)
-    : config_(config),
-      part_(grid::Partitioner::for_ranks(config.npx, num_ranks)),
-      comm_(part_.num_ranks()),
-      halo_(part_, 3) {
-  for (int r = 0; r < part_.num_ranks(); ++r) {
-    states_.push_back(
-        std::make_unique<ModelState>(config_, part_, r, placers ? placers(r) : FieldPlacer{}));
+    : ModelDriver(config.npx, num_ranks), config_(config) {
+  for (int r = 0; r < this->num_ranks(); ++r) {
+    states_.push_back(std::make_unique<ModelState>(config_, partitioner(), r,
+                                                   placers ? placers(r) : FieldPlacer{}));
   }
-  program_ = build_dycore_program(*states_[0], schedules);
-}
-
-std::vector<comm::RankDomain> DistributedModel::rank_domains() {
-  std::vector<comm::RankDomain> ranks;
-  ranks.reserve(states_.size());
-  for (auto& st : states_) ranks.push_back(comm::RankDomain{&st->catalog(), st->domain()});
-  return ranks;
-}
-
-void DistributedModel::set_run_options(const exec::RunOptions& run) {
-  program_.set_run_options(run);
-  runtime_.reset();  // per-rank program copies carry stale options
-}
-
-void DistributedModel::set_exec_mode(ExecMode mode) { exec_mode_ = mode; }
-
-void DistributedModel::set_runtime_options(const comm::RuntimeOptions& options) {
-  runtime_options_ = options;
-  runtime_.reset();
-}
-
-comm::ConcurrentRuntime& DistributedModel::concurrent_runtime() {
-  if (!runtime_) {
-    comm::RuntimeOptions options = runtime_options_;
-    options.run = program_.run_options();
-    runtime_ = std::make_unique<comm::ConcurrentRuntime>(program_, halo_, rank_domains(),
-                                                         options);
-  }
-  return *runtime_;
-}
-
-comm::RunReport DistributedModel::run_resilient(int steps) {
-  set_exec_mode(ExecMode::Concurrent);
-  comm::ConcurrentRuntime& rt = concurrent_runtime();
-  // Checkpoint through the savepoint serialization layer unless the caller
-  // supplied a store. The store only needs to outlive the (synchronous) run.
-  SavepointStore store;
-  comm::RecoveryOptions recovery = rt.options().recovery;
-  recovery.enabled = true;
-  if (!recovery.store) recovery.store = &store;
-  rt.set_fault_options(rt.options().faults, recovery);
-  return rt.run(steps);
-}
-
-void DistributedModel::step() {
-  if (exec_mode_ == ExecMode::Concurrent) {
-    concurrent_runtime().step();
-    return;
-  }
-  auto ranks = rank_domains();
-  comm::run_lockstep_step(program_, halo_, ranks, comm_);
-}
-
-void DistributedModel::exchange_prognostics() {
-  const auto progs = ModelState::prognostic_names(config_.ntracers);
-  // Winds go as a rotated vector pair, the rest as scalars.
-  {
-    std::vector<FieldD*> u, v;
-    for (auto& st : states_) {
-      u.push_back(&st->f("u"));
-      v.push_back(&st->f("v"));
-    }
-    halo_.exchange_vector(u, v, comm_);
-    halo_.fill_cube_corners(u, comm::CornerFill::XDir);
-    halo_.fill_cube_corners(v, comm::CornerFill::YDir);
-  }
-  for (const auto& name : progs) {
-    if (name == "u" || name == "v") continue;
-    std::vector<FieldD*> fields;
-    for (auto& st : states_) fields.push_back(&st->f(name));
-    halo_.exchange_scalar(fields, comm_);
-    halo_.fill_cube_corners(fields, comm::CornerFill::XDir);
-  }
+  adopt(states_, build_dycore_program(*states_[0], schedules),
+        ModelState::prognostic_names(config_.ntracers));
 }
 
 GlobalDiagnostics DistributedModel::diagnostics() const {

@@ -3,11 +3,9 @@
 #include <memory>
 #include <vector>
 
-#include "comm/halo.hpp"
-#include "comm/runtime.hpp"
 #include "fv3/dyn_core.hpp"
+#include "fv3/model_driver.hpp"
 #include "fv3/state.hpp"
-#include "grid/partitioner.hpp"
 
 namespace cyclone::fv3 {
 
@@ -22,25 +20,11 @@ struct GlobalDiagnostics {
   [[nodiscard]] bool finite() const;
 };
 
-/// Runs the dycore on all ranks of a simulated cubed-sphere decomposition.
-/// Two execution modes share one program and one halo-exchange code path:
-///
-///  - Lockstep (default): ranks execute sequentially, phase by phase,
-///    through the deterministic SimComm mailboxes — the reference
-///    scheduler.
-///  - Concurrent: every rank runs on its own thread against a real
-///    mutex/condvar channel (comm::ConcurrentRuntime), optionally
-///    overlapping interior compute with in-flight halo exchanges. Bitwise
-///    identical to Lockstep by construction (verified in
-///    verify::check_distributed_agrees).
-///
-/// The program is shared — horizontal regions resolve per rank through the
-/// launch domain's global placement, exactly as in the distributed GT4Py
-/// model.
-class DistributedModel {
+/// Runs the dycore on all ranks of a simulated cubed-sphere decomposition;
+/// the schedulers (lockstep and concurrent), run options and the resilient
+/// run loop come from ModelDriver.
+class DistributedModel : public ModelDriver {
  public:
-  enum class ExecMode { Lockstep, Concurrent };
-
   /// `placers` optionally supplies a per-rank FieldPlacer routing every
   /// state-field allocation into external storage (the ensemble runtime's
   /// member-major arenas); empty = each state owns its fields.
@@ -48,63 +32,13 @@ class DistributedModel {
                    const DycoreSchedules& schedules = DycoreSchedules::tuned(),
                    const std::function<FieldPlacer(int rank)>& placers = {});
 
-  [[nodiscard]] const grid::Partitioner& partitioner() const { return part_; }
-  [[nodiscard]] int num_ranks() const { return part_.num_ranks(); }
   [[nodiscard]] ModelState& state(int rank) { return *states_[static_cast<size_t>(rank)]; }
-  [[nodiscard]] const ir::Program& program() const { return program_; }
-  [[nodiscard]] ir::Program& program() { return program_; }
-  [[nodiscard]] comm::SimComm& comm() { return comm_; }
-  [[nodiscard]] const comm::HaloUpdater& halo_updater() const { return halo_; }
-  [[nodiscard]] comm::HaloUpdater& halo_updater() { return halo_; }
-
-  /// Engine options (thread count, parallel on/off) used by every compute
-  /// state. Halo exchanges are unaffected; the reference backend ignores
-  /// them (it stays the serial oracle). In Concurrent mode these also seed
-  /// the per-rank programs (threads_per_rank caps each rank's OpenMP team).
-  void set_run_options(const exec::RunOptions& run);
-  [[nodiscard]] const exec::RunOptions& run_options() const { return program_.run_options(); }
-
-  /// Select the scheduler used by step(). Concurrent mode builds the
-  /// thread-per-rank runtime lazily on the first step.
-  void set_exec_mode(ExecMode mode);
-  [[nodiscard]] ExecMode exec_mode() const { return exec_mode_; }
-
-  /// Concurrent-runtime behavior (overlap on/off, channel jitter/timeout).
-  /// The `run` member is overwritten from run_options() at build time.
-  void set_runtime_options(const comm::RuntimeOptions& options);
-
-  /// The concurrent runtime (built on demand) — stats, channel counters.
-  [[nodiscard]] comm::ConcurrentRuntime& concurrent_runtime();
-
-  /// Advance one physics timestep on every rank.
-  void step();
-
-  /// Advance `steps` timesteps through the self-healing concurrent runtime:
-  /// faults from runtime_options().faults are injected, rank-local
-  /// checkpoints are written through a SavepointStore (reusing the savepoint
-  /// serialization layer) unless runtime_options().recovery.store is set,
-  /// and crashed/hung steps roll back and restart. Switches the model to
-  /// Concurrent mode. Returns the structured outcome instead of throwing on
-  /// rank failure.
-  comm::RunReport run_resilient(int steps);
-
-  /// Exchange the prognostic fields' halos (used after initialization).
-  void exchange_prognostics();
 
   [[nodiscard]] GlobalDiagnostics diagnostics() const;
 
  private:
-  [[nodiscard]] std::vector<comm::RankDomain> rank_domains();
-
   FvConfig config_;
-  grid::Partitioner part_;
   std::vector<std::unique_ptr<ModelState>> states_;
-  ir::Program program_;
-  comm::SimComm comm_;
-  comm::HaloUpdater halo_;
-  ExecMode exec_mode_ = ExecMode::Lockstep;
-  comm::RuntimeOptions runtime_options_{};
-  std::unique_ptr<comm::ConcurrentRuntime> runtime_;
 };
 
 }  // namespace cyclone::fv3

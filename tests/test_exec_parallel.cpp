@@ -84,13 +84,44 @@ TEST(DecomposeTiles, OversizedTileClipsToDomain) {
 
 TEST(RunOptions, ResolvedNumThreads) {
   RunOptions serial;
-  serial.parallel = false;
-  serial.num_threads = 8;  // ignored: parallel off wins
+  serial.backend = ExecBackend::Tape;
+  serial.num_threads = 8;  // ignored: the Tape backend is the serial path
   EXPECT_EQ(resolved_num_threads(serial), 1);
   RunOptions explicit_count;
   explicit_count.num_threads = 5;
   EXPECT_EQ(resolved_num_threads(explicit_count), 5);
   EXPECT_GE(resolved_num_threads(RunOptions{}), 1);
+}
+
+// The executor selector's documented contract (launch.hpp): every backend's
+// short name parses back to itself, the long aliases parse, and an unknown
+// name is rejected without touching the output.
+TEST(RunOptions, BackendNamesRoundTripThroughParse) {
+  for (const ExecBackend b :
+       {ExecBackend::Interpreter, ExecBackend::Tape, ExecBackend::OpenMP, ExecBackend::Jit}) {
+    ExecBackend parsed = b == ExecBackend::Jit ? ExecBackend::Tape : ExecBackend::Jit;
+    ASSERT_TRUE(parse_backend(backend_name(b), parsed)) << backend_name(b);
+    EXPECT_EQ(parsed, b) << backend_name(b);
+  }
+}
+
+TEST(RunOptions, BackendAliasesParse) {
+  ExecBackend parsed = ExecBackend::Jit;
+  ASSERT_TRUE(parse_backend("interpreter", parsed));
+  EXPECT_EQ(parsed, ExecBackend::Interpreter);
+  ASSERT_TRUE(parse_backend("omp", parsed));
+  EXPECT_EQ(parsed, ExecBackend::OpenMP);
+}
+
+TEST(RunOptions, UnknownBackendLeavesOutputUntouched) {
+  for (const ExecBackend b :
+       {ExecBackend::Interpreter, ExecBackend::Tape, ExecBackend::OpenMP, ExecBackend::Jit}) {
+    ExecBackend out = b;
+    for (const char* name : {"", "cuda", "JIT", "tape ", "reference", "compiled"}) {
+      EXPECT_FALSE(parse_backend(name, out)) << "'" << name << "'";
+      EXPECT_EQ(out, b) << "'" << name << "'";
+    }
+  }
 }
 
 // ------------------------------------------------- schedule sweep oracle ----
@@ -175,9 +206,9 @@ TEST(ParallelEngine, EveryVerticalScheduleMatchesInterpreterBitwise) {
 }
 
 TEST(ParallelEngine, SerialRunOptionIsStillBitwiseIdentical) {
-  // parallel=false must take the exact serial path (a team of one).
+  // The Tape backend must take the exact serial path (a team of one).
   RunOptions serial;
-  serial.parallel = false;
+  serial.backend = ExecBackend::Tape;
   const auto report = verify::check_parallel_agrees(horizontal_program(), serial);
   EXPECT_TRUE(report.equivalent) << report.first_failure();
 }

@@ -186,15 +186,17 @@ TEST(Backend, ReferenceMatchesCompiledOnDycoreState) {
   cfg.ntracers = 1;
   cfg.dt = 200.0;
 
-  auto run = [&](Program::Backend backend) {
+  auto run = [&](exec::ExecBackend backend) {
     fv3::DistributedModel model(cfg, 6);
     fv3::init_baroclinic(model);
-    model.program().set_backend(backend);
+    exec::RunOptions options;
+    options.backend = backend;
+    model.set_run_options(options);
     model.step();
     return model.diagnostics();
   };
-  const auto compiled = run(Program::Backend::Compiled);
-  const auto reference = run(Program::Backend::Reference);
+  const auto compiled = run(exec::ExecBackend::OpenMP);
+  const auto reference = run(exec::ExecBackend::Interpreter);
   EXPECT_EQ(compiled.total_mass, reference.total_mass);
   EXPECT_EQ(compiled.max_wind, reference.max_wind);
   EXPECT_EQ(compiled.mean_pt, reference.mean_pt);

@@ -8,8 +8,8 @@
 //
 //   forecast_server serve   --socket /tmp/cyclone.sock [--ranks 6]
 //                           [--workers 1] [--max-batch 32] [--chaos-rate R]
-//   forecast_server request --socket /tmp/cyclone.sock core=swe ic=hill \
-//                           npx=12 ntracers=2 members=4 seed=7 steps=2 \
+//   forecast_server request --socket /tmp/cyclone.sock core=swe ic=hill
+//                           npx=12 ntracers=2 members=4 seed=7 steps=2
 //                           backend=openmp [chaos=1] [--golden NAME] [--quiet]
 //   forecast_server stats   --socket /tmp/cyclone.sock
 //   forecast_server shutdown --socket /tmp/cyclone.sock
