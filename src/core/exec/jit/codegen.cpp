@@ -3,9 +3,11 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 
+#include "core/exec/jit/abi.hpp"
 #include "core/exec/tape.hpp"
 
 namespace cyclone::exec::jit {
@@ -183,63 +185,58 @@ void emit_band_range(std::ostringstream& os, const std::string& ind, const std::
   os << ind << "const int j1 = cy_imin(j0 + cy_tj, " << jhi << ");\n";
 }
 
-/// A statement of a Parallel block (or its per-plane degenerate form is
-/// handled separately below): parallel map over (k?, j-band) units with the
-/// engine's ordering rules — k joins the map only when the schedule maps k
-/// AND the output is not a single-plane broadcast; broadcast outputs keep k
-/// serial ascending so the last level wins exactly as in the serial
-/// executor; self-reading statements compute the whole apply volume into
-/// scratch, pass a barrier, then commit.
+/// A statement of a Parallel block: a worksharing map over (k?, j-band)
+/// units with the engine's ordering rules — k joins the map only when the
+/// schedule maps k AND the output is not a single-plane broadcast; broadcast
+/// outputs keep k serial ascending (a barrier after every level) so the last
+/// level wins exactly as in the serial executor; self-reading statements
+/// compute the whole apply volume into scratch, pass a barrier, then commit.
+/// The unit's last loop is `nowait`; the kernel decides its closing barrier.
 void emit_parallel_stmt(std::ostringstream& os, const CStmt& stmt, int fs) {
-  os << "  { // S" << fs << " (parallel map)\n";
-  os << "    const CyJitBounds b = A->stmts[" << fs << "];\n";
-  os << "    const CyJitSlot ob = " << slot_ref(stmt.lhs_slot) << ";\n";
-  os << "    (void)ob;\n";
-  os << "    if (b.ihi > b.ilo && b.jhi > b.jlo && b.khi > b.klo) {\n";
-  emit_band_setup(os, "      ", "b.jlo", "b.jhi");
-  os << "      const long long cy_w = (long long)(b.ihi - b.ilo) * cy_nj * (b.khi - b.klo);\n";
-  os << "      const int cy_go = cy_nt > 1 && cy_w > 1024;\n";
-  os << "      (void)cy_go;\n";
+  os << "    { // S" << fs << " (parallel map)\n";
+  os << "      const CyJitBounds b = A->stmts[" << fs << "];\n";
+  os << "      const CyJitSlot ob = " << slot_ref(stmt.lhs_slot) << ";\n";
+  os << "      (void)ob;\n";
+  os << "      if (b.ihi > b.ilo && b.jhi > b.jlo && b.khi > b.klo) {\n";
+  emit_band_setup(os, "        ", "b.jlo", "b.jhi");
 
   if (!stmt.info.self_read_offset) {
-    os << "      if (A->k_as_map && ob.sk != 0) {\n";
-    os << "        const long long cy_units = (long long)(b.khi - b.klo) * cy_njb;\n";
-    os << "#pragma omp parallel for schedule(static) num_threads(cy_nt) if(cy_go)\n";
-    os << "        for (long long u = 0; u < cy_units; ++u) {\n";
-    os << "          const int k = b.klo + (int)(u / cy_njb);\n";
-    os << "          const int jb = (int)(u % cy_njb);\n";
-    emit_band_range(os, "          ", "b.jlo", "b.jhi");
-    os << "          for (int j = j0; j < j1; ++j) {\n";
-    emit_row(os, "            ", stmt, "b.ilo", "b.ihi", "");
-    os << "          }\n";
-    os << "        }\n";
-    os << "      } else if (ob.sk != 0) {\n";
-    os << "#pragma omp parallel for schedule(static) num_threads(cy_nt) if(cy_go)\n";
-    os << "        for (int jb = 0; jb < cy_njb; ++jb) {\n";
-    emit_band_range(os, "          ", "b.jlo", "b.jhi");
-    os << "          for (int k = b.klo; k < b.khi; ++k) {\n";
-    os << "            for (int j = j0; j < j1; ++j) {\n";
-    emit_row(os, "              ", stmt, "b.ilo", "b.ihi", "");
-    os << "            }\n";
-    os << "          }\n";
-    os << "        }\n";
-    os << "      } else { // broadcast output: k serial ascending, last level wins\n";
-    os << "        for (int k = b.klo; k < b.khi; ++k) {\n";
-    os << "#pragma omp parallel for schedule(static) num_threads(cy_nt) if(cy_go)\n";
-    os << "          for (int jb = 0; jb < cy_njb; ++jb) {\n";
+    os << "        if (A->k_as_map && ob.sk != 0) {\n";
+    os << "          const long long cy_units = (long long)(b.khi - b.klo) * cy_njb;\n";
+    os << "#pragma omp for schedule(static) nowait\n";
+    os << "          for (long long u = 0; u < cy_units; ++u) {\n";
+    os << "            const int k = b.klo + (int)(u / cy_njb);\n";
+    os << "            const int jb = (int)(u % cy_njb);\n";
     emit_band_range(os, "            ", "b.jlo", "b.jhi");
     os << "            for (int j = j0; j < j1; ++j) {\n";
     emit_row(os, "              ", stmt, "b.ilo", "b.ihi", "");
     os << "            }\n";
     os << "          }\n";
+    os << "        } else if (ob.sk != 0) {\n";
+    os << "#pragma omp for schedule(static) nowait\n";
+    os << "          for (int jb = 0; jb < cy_njb; ++jb) {\n";
+    emit_band_range(os, "            ", "b.jlo", "b.jhi");
+    os << "            for (int k = b.klo; k < b.khi; ++k) {\n";
+    os << "              for (int j = j0; j < j1; ++j) {\n";
+    emit_row(os, "                ", stmt, "b.ilo", "b.ihi", "");
+    os << "              }\n";
+    os << "            }\n";
+    os << "          }\n";
+    os << "        } else { // broadcast output: k serial ascending, last level wins\n";
+    os << "          for (int k = b.klo; k < b.khi; ++k) {\n";
+    os << "#pragma omp for schedule(static)\n";
+    os << "            for (int jb = 0; jb < cy_njb; ++jb) {\n";
+    emit_band_range(os, "              ", "b.jlo", "b.jhi");
+    os << "              for (int j = j0; j < j1; ++j) {\n";
+    emit_row(os, "                ", stmt, "b.ilo", "b.ihi", "");
+    os << "              }\n";
+    os << "            }\n";
+    os << "          }\n";
     os << "        }\n";
-    os << "      }\n";
   } else {
-    os << "      double* cy_buf = A->scratch;\n";
-    os << "      const long long cy_rni = b.ihi - b.ilo;\n";
-    os << "      const long long cy_rnj = b.jhi - b.jlo;\n";
-    os << "#pragma omp parallel num_threads(cy_nt) if(cy_go)\n";
-    os << "      {\n";
+    os << "        double* cy_buf = A->scratch;\n";
+    os << "        const long long cy_rni = b.ihi - b.ilo;\n";
+    os << "        const long long cy_rnj = b.jhi - b.jlo;\n";
     os << "#pragma omp for schedule(static)\n";
     os << "        for (int jb = 0; jb < cy_njb; ++jb) {\n";
     emit_band_range(os, "          ", "b.jlo", "b.jhi");
@@ -250,7 +247,7 @@ void emit_parallel_stmt(std::ostringstream& os, const CStmt& stmt, int fs) {
     os << "            }\n";
     os << "          }\n";
     os << "        }\n";
-    os << "#pragma omp for schedule(static)\n";
+    os << "#pragma omp for schedule(static) nowait\n";
     os << "        for (int jb = 0; jb < cy_njb; ++jb) {\n";
     emit_band_range(os, "          ", "b.jlo", "b.jhi");
     os << "          for (int k = b.klo; k < b.khi; ++k) { // ascending commit: broadcast-safe\n";
@@ -263,10 +260,9 @@ void emit_parallel_stmt(std::ostringstream& os, const CStmt& stmt, int fs) {
     os << "            }\n";
     os << "          }\n";
     os << "        }\n";
-    os << "      }\n";
   }
+  os << "      }\n";
   os << "    }\n";
-  os << "  }\n";
 }
 
 /// Horizontally independent sequential interval: threads own disjoint
@@ -275,78 +271,70 @@ void emit_parallel_stmt(std::ostringstream& os, const CStmt& stmt, int fs) {
 /// order, hence bitwise identity for any band decomposition.
 void emit_columns_interval(std::ostringstream& os, const CInterval& iv, bool fwd, int fi,
                            int fs_base) {
-  os << "  { // I" << fi << " (" << (fwd ? "forward" : "backward") << " column sweep)\n";
-  os << "    const CyJitIv v = A->intervals[" << fi << "];\n";
-  os << "    if (v.k1 > v.k0 && v.jhi > v.jlo && v.ihi > v.ilo) {\n";
-  emit_band_setup(os, "      ", "v.jlo", "v.jhi");
-  os << "      const long long cy_w = (long long)(v.ihi - v.ilo) * cy_nj * (v.k1 - v.k0);\n";
-  os << "      const int cy_go = cy_nt > 1 && cy_w > 1024;\n";
-  os << "      (void)cy_go;\n";
-  os << "#pragma omp parallel for schedule(static) num_threads(cy_nt) if(cy_go)\n";
-  os << "      for (int jb = 0; jb < cy_njb; ++jb) {\n";
-  emit_band_range(os, "        ", "v.jlo", "v.jhi");
+  os << "    { // I" << fi << " (" << (fwd ? "forward" : "backward") << " column sweep)\n";
+  os << "      const CyJitIv v = A->intervals[" << fi << "];\n";
+  os << "      if (v.k1 > v.k0 && v.jhi > v.jlo && v.ihi > v.ilo) {\n";
+  emit_band_setup(os, "        ", "v.jlo", "v.jhi");
+  os << "#pragma omp for schedule(static) nowait\n";
+  os << "        for (int jb = 0; jb < cy_njb; ++jb) {\n";
+  emit_band_range(os, "          ", "v.jlo", "v.jhi");
   if (fwd) {
-    os << "        for (int k = v.k0; k < v.k1; ++k) {\n";
+    os << "          for (int k = v.k0; k < v.k1; ++k) {\n";
   } else {
-    os << "        for (int k = v.k1 - 1; k >= v.k0; --k) {\n";
+    os << "          for (int k = v.k1 - 1; k >= v.k0; --k) {\n";
   }
   for (size_t s = 0; s < iv.body.size(); ++s) {
     const CStmt& stmt = iv.body[s];
     const int fs = fs_base + static_cast<int>(s);
-    os << "          { // S" << fs << "\n";
-    os << "            const CyJitBounds b = A->stmts[" << fs << "];\n";
-    os << "            if (k >= b.klo && k < b.khi) {\n";
-    os << "              const int jj0 = cy_imax(b.jlo, j0);\n";
-    os << "              const int jj1 = cy_imin(b.jhi, j1);\n";
-    os << "              for (int j = jj0; j < jj1; ++j) {\n";
-    emit_row(os, "                ", stmt, "b.ilo", "b.ihi", "");
+    os << "            { // S" << fs << "\n";
+    os << "              const CyJitBounds b = A->stmts[" << fs << "];\n";
+    os << "              if (k >= b.klo && k < b.khi) {\n";
+    os << "                const int jj0 = cy_imax(b.jlo, j0);\n";
+    os << "                const int jj1 = cy_imin(b.jhi, j1);\n";
+    os << "                for (int j = jj0; j < jj1; ++j) {\n";
+    emit_row(os, "                  ", stmt, "b.ilo", "b.ihi", "");
+    os << "                }\n";
     os << "              }\n";
     os << "            }\n";
-    os << "          }\n";
   }
+  os << "          }\n";
   os << "        }\n";
   os << "      }\n";
   os << "    }\n";
-  os << "  }\n";
 }
 
 /// Horizontally coupled sequential interval: the serial level-by-level
-/// order is preserved and each plane is applied as a parallel map (with the
-/// per-plane two-phase scratch commit for self-reading statements), exactly
-/// like the engine's fallback.
+/// order is preserved and each plane is applied as a worksharing map (with
+/// the per-plane two-phase scratch commit for self-reading statements),
+/// exactly like the engine's fallback. Every loop keeps its barrier.
 void emit_plane_interval(std::ostringstream& os, const CInterval& iv, bool fwd, int fi,
                          int fs_base) {
-  os << "  { // I" << fi << " (" << (fwd ? "forward" : "backward") << " plane sweep)\n";
-  os << "    const CyJitIv v = A->intervals[" << fi << "];\n";
+  os << "    { // I" << fi << " (" << (fwd ? "forward" : "backward") << " plane sweep)\n";
+  os << "      const CyJitIv v = A->intervals[" << fi << "];\n";
   if (fwd) {
-    os << "    for (int k = v.k0; k < v.k1; ++k) {\n";
+    os << "      for (int k = v.k0; k < v.k1; ++k) {\n";
   } else {
-    os << "    for (int k = v.k1 - 1; k >= v.k0; --k) {\n";
+    os << "      for (int k = v.k1 - 1; k >= v.k0; --k) {\n";
   }
   for (size_t s = 0; s < iv.body.size(); ++s) {
     const CStmt& stmt = iv.body[s];
     const int fs = fs_base + static_cast<int>(s);
-    os << "      { // S" << fs << "\n";
-    os << "        const CyJitBounds b = A->stmts[" << fs << "];\n";
-    os << "        if (k >= b.klo && k < b.khi && b.ihi > b.ilo && b.jhi > b.jlo) {\n";
-    emit_band_setup(os, "          ", "b.jlo", "b.jhi");
-    os << "          const long long cy_w = (long long)(b.ihi - b.ilo) * cy_nj;\n";
-    os << "          const int cy_go = cy_nt > 1 && cy_w > 1024;\n";
-    os << "          (void)cy_go;\n";
+    os << "        { // S" << fs << "\n";
+    os << "          const CyJitBounds b = A->stmts[" << fs << "];\n";
+    os << "          if (k >= b.klo && k < b.khi && b.ihi > b.ilo && b.jhi > b.jlo) {\n";
+    emit_band_setup(os, "            ", "b.jlo", "b.jhi");
     if (!stmt.info.self_read_offset) {
-      os << "#pragma omp parallel for schedule(static) num_threads(cy_nt) if(cy_go)\n";
-      os << "          for (int jb = 0; jb < cy_njb; ++jb) {\n";
-      emit_band_range(os, "            ", "b.jlo", "b.jhi");
-      os << "            for (int j = j0; j < j1; ++j) {\n";
-      emit_row(os, "              ", stmt, "b.ilo", "b.ihi", "");
+      os << "#pragma omp for schedule(static)\n";
+      os << "            for (int jb = 0; jb < cy_njb; ++jb) {\n";
+      emit_band_range(os, "              ", "b.jlo", "b.jhi");
+      os << "              for (int j = j0; j < j1; ++j) {\n";
+      emit_row(os, "                ", stmt, "b.ilo", "b.ihi", "");
+      os << "              }\n";
       os << "            }\n";
-      os << "          }\n";
     } else {
-      os << "          const CyJitSlot ob = " << slot_ref(stmt.lhs_slot) << ";\n";
-      os << "          double* cy_buf = A->scratch;\n";
-      os << "          const long long cy_rni = b.ihi - b.ilo;\n";
-      os << "#pragma omp parallel num_threads(cy_nt) if(cy_go)\n";
-      os << "          {\n";
+      os << "            const CyJitSlot ob = " << slot_ref(stmt.lhs_slot) << ";\n";
+      os << "            double* cy_buf = A->scratch;\n";
+      os << "            const long long cy_rni = b.ihi - b.ilo;\n";
       os << "#pragma omp for schedule(static)\n";
       os << "            for (int jb = 0; jb < cy_njb; ++jb) {\n";
       emit_band_range(os, "              ", "b.jlo", "b.jhi");
@@ -365,43 +353,143 @@ void emit_plane_interval(std::ostringstream& os, const CInterval& iv, bool fwd, 
       os << "                for (int i = b.ilo; i < b.ihi; ++i) o[i] = sr[i - b.ilo];\n";
       os << "              }\n";
       os << "            }\n";
-      os << "          }\n";
     }
+    os << "          }\n";
     os << "        }\n";
-    os << "      }\n";
   }
+  os << "      }\n";
   os << "    }\n";
-  os << "  }\n";
 }
 
+/// One unit of a kernel's parallel region: a Parallel-block statement, or a
+/// whole sequential interval (column or plane sweep), with the slots it
+/// reads and writes. The two-phase commit buffer counts as one extra slot.
+struct Unit {
+  const CStmt* stmt = nullptr;    ///< set for a Parallel-block statement
+  const CInterval* iv = nullptr;  ///< set for a sequential interval
+  bool fwd = true;                ///< sequential interval: Forward order
+  int fs = 0;                     ///< (first) flat statement index
+  int fi = 0;                     ///< sequential interval: flat interval index
+  std::set<int> reads, writes;
+};
+
+constexpr int kScratchSlot = -1;
+
+void add_access(Unit& u, const CStmt& stmt) {
+  for (const LoadSite& ls : stmt.loads) u.reads.insert(ls.slot);
+  u.writes.insert(stmt.lhs_slot);
+  if (stmt.info.self_read_offset) {
+    u.reads.insert(kScratchSlot);
+    u.writes.insert(kScratchSlot);
+  }
+}
+
+std::vector<Unit> kernel_units(const CompiledStencil& cs) {
+  std::vector<Unit> units;
+  int fs = 0;
+  int fi = 0;
+  for (const CBlock& block : cs.blocks()) {
+    for (const CInterval& iv : block.intervals) {
+      if (block.order == dsl::IterOrder::Parallel) {
+        for (const CStmt& stmt : iv.body) {
+          Unit u;
+          u.stmt = &stmt;
+          u.fs = fs++;
+          add_access(u, stmt);
+          units.push_back(std::move(u));
+        }
+      } else {
+        Unit u;
+        u.iv = &iv;
+        u.fwd = block.order == dsl::IterOrder::Forward;
+        u.fs = fs;
+        u.fi = fi;
+        for (const CStmt& stmt : iv.body) add_access(u, stmt);
+        fs += static_cast<int>(iv.body.size());
+        units.push_back(std::move(u));
+      }
+      ++fi;
+    }
+  }
+  return units;
+}
+
+bool meets(const std::set<int>& a, const std::set<int>& b) {
+  for (const int s : a) {
+    if (b.count(s)) return true;
+  }
+  return false;
+}
+
+/// The barrier pass, over units in emission order. It tracks the slots read
+/// and written since the last barrier; unit u may close without one only if
+/// unit u + 1 reads none of those written slots and writes none of those
+/// read or written. Every point has one writer and dependent units stay
+/// ordered, so values do not depend on the team size or band split. The
+/// last unit needs no barrier: the region's end joins the team.
+std::vector<bool> closing_barriers(const std::vector<Unit>& units) {
+  std::vector<bool> keep(units.size(), false);
+  std::set<int> reads, writes;
+  for (size_t u = 0; u + 1 < units.size(); ++u) {
+    reads.insert(units[u].reads.begin(), units[u].reads.end());
+    writes.insert(units[u].writes.begin(), units[u].writes.end());
+    const Unit& next = units[u + 1];
+    if (meets(next.reads, writes) || meets(next.writes, reads) || meets(next.writes, writes)) {
+      keep[u] = true;
+      reads.clear();
+      writes.clear();
+    }
+  }
+  return keep;
+}
+
+/// One kernel = one parallel region. The team forks only when some
+/// worksharing loop has more than 1024 points (the per-loop test the engine
+/// applies), so launches too small to pay for a fork run on the calling
+/// thread. Unit-closing barriers are explicit and unconditional, so a unit
+/// whose bounds are empty at run time still synchronizes the team.
 void emit_kernel(std::ostringstream& os, const CompiledStencil& cs, int index) {
+  const std::vector<Unit> units = kernel_units(cs);
+  const std::vector<bool> keep = closing_barriers(units);
   os << "extern \"C\" void cyk_" << index << "(const CyJitArgs* A) { // "
      << cs.stencil().name() << "\n";
   os << "  const CyJitSlot* CY_S = A->slots;\n";
   os << "  const double* CY_P = A->params;\n";
   os << "  const int cy_nt = A->num_threads;\n";
-  os << "  (void)CY_S; (void)CY_P; (void)cy_nt;\n";
-  int fs = 0;
-  int fi = 0;
-  for (const CBlock& block : cs.blocks()) {
-    if (block.order == dsl::IterOrder::Parallel) {
-      for (const CInterval& iv : block.intervals) {
-        for (const CStmt& stmt : iv.body) emit_parallel_stmt(os, stmt, fs++);
-        ++fi;
-      }
+  os << "  (void)CY_S; (void)CY_P;\n";
+  os << "  long long cy_w = 0;\n";
+  for (const Unit& u : units) {
+    if (u.stmt) {
+      os << "  cy_w = cy_lmax(cy_w, cy_vol(A->stmts[" << u.fs << "]));\n";
+    } else if (u.iv->columns_independent) {
+      os << "  cy_w = cy_lmax(cy_w, cy_ivvol(A->intervals[" << u.fi << "]));\n";
     } else {
-      const bool fwd = block.order == dsl::IterOrder::Forward;
-      for (const CInterval& iv : block.intervals) {
-        if (iv.columns_independent) {
-          emit_columns_interval(os, iv, fwd, fi, fs);
-        } else {
-          emit_plane_interval(os, iv, fwd, fi, fs);
-        }
-        fs += static_cast<int>(iv.body.size());
-        ++fi;
+      for (size_t s = 0; s < u.iv->body.size(); ++s) {
+        os << "  cy_w = cy_lmax(cy_w, cy_area(A->stmts[" << u.fs + static_cast<int>(s)
+           << "], A->intervals[" << u.fi << "]));\n";
       }
     }
   }
+  os << "  const int cy_go = cy_nt > 1 && cy_w > 1024;\n";
+  os << "#pragma omp parallel num_threads(cy_nt) if(cy_go)\n";
+  os << "  {\n";
+  for (size_t n = 0; n < units.size(); ++n) {
+    const Unit& u = units[n];
+    if (u.stmt) {
+      emit_parallel_stmt(os, *u.stmt, u.fs);
+    } else if (u.iv->columns_independent) {
+      emit_columns_interval(os, *u.iv, u.fwd, u.fi, u.fs);
+    } else {
+      emit_plane_interval(os, *u.iv, u.fwd, u.fi, u.fs);
+    }
+    if (n + 1 == units.size()) break;
+    if (keep[n]) {
+      os << "#pragma omp barrier\n";
+    } else {
+      os << "    // nowait: the next unit has no hazard with the open units\n";
+    }
+  }
+  os << "  }\n";
   os << "}\n\n";
 }
 
@@ -424,7 +512,7 @@ int flat_interval_count(const CompiledStencil& cs) {
 std::string emit_translation_unit(const std::vector<const CompiledStencil*>& stencils) {
   std::ostringstream os;
   os << "// Generated by the cyclone JIT backend; do not edit.\n";
-  os << "// ABI v1 — must match src/core/exec/jit/abi.hpp.\n";
+  os << "// ABI v" << kAbiVersion << " — must match src/core/exec/jit/abi.hpp.\n";
   os << "#pragma GCC diagnostic ignored \"-Wunknown-pragmas\"\n";
   os << "extern \"C\" {\n";
   os << "double pow(double, double);\n";
@@ -451,6 +539,21 @@ std::string emit_translation_unit(const std::vector<const CompiledStencil*>& ste
   os << "};\n";
   os << "static inline int cy_imin(int a, int b) { return a < b ? a : b; }\n";
   os << "static inline int cy_imax(int a, int b) { return a < b ? b : a; }\n";
+  // Points of one worksharing loop (0 when empty): a parallel map, a column
+  // sweep, or one plane of a plane sweep. They feed the team-size decision.
+  os << "static inline long long cy_lmax(long long a, long long b) { return a < b ? b : a; }\n";
+  os << "static inline long long cy_vol(CyJitBounds b) {\n";
+  os << "  return b.ihi > b.ilo && b.jhi > b.jlo && b.khi > b.klo\n";
+  os << "             ? (long long)(b.ihi - b.ilo) * (b.jhi - b.jlo) * (b.khi - b.klo) : 0;\n";
+  os << "}\n";
+  os << "static inline long long cy_ivvol(CyJitIv v) {\n";
+  os << "  return v.ihi > v.ilo && v.jhi > v.jlo && v.k1 > v.k0\n";
+  os << "             ? (long long)(v.ihi - v.ilo) * (v.jhi - v.jlo) * (v.k1 - v.k0) : 0;\n";
+  os << "}\n";
+  os << "static inline long long cy_area(CyJitBounds b, CyJitIv v) {\n";
+  os << "  return b.ihi > b.ilo && b.jhi > b.jlo && cy_imax(b.klo, v.k0) < cy_imin(b.khi, v.k1)\n";
+  os << "             ? (long long)(b.ihi - b.ilo) * (b.jhi - b.jlo) : 0;\n";
+  os << "}\n";
   // The double helpers replicate the tape executor's op semantics exactly
   // (argument order of min/max, eager select, NaN-is-zero sign).
   os << "static inline double cy_min(double a, double b) { return b < a ? b : a; }\n";

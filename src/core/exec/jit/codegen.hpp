@@ -18,6 +18,12 @@ namespace cyclone::exec::jit {
 /// otherwise — with each statement's postfix tape unrolled into a native
 /// expression over I-contiguous row pointers.
 ///
+/// Each kernel opens one OpenMP parallel region, forked only when some loop
+/// exceeds 1024 points; its statements and sweeps are orphaned `omp for`
+/// loops, and a barrier separates two of them only where the later one
+/// reads a slot written, or writes a slot read or written, since the last
+/// barrier.
+///
 /// The TU is self-contained (no #include) to keep host-compiler invocations
 /// fast, and all schedule knobs (tile width, k-map, thread count) arrive at
 /// run time through CyJitArgs, so one compilation serves every schedule.

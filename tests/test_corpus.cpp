@@ -68,9 +68,12 @@ std::vector<Scenario> fake_registry() {
   return registry;
 }
 
+// One file per test case: `ctest -j` runs the cases as concurrent processes.
 class CorpusFormatTest : public ::testing::Test {
  protected:
-  std::string path_ = testing::TempDir() + "corpus_format_test.gold";
+  std::string path_ = testing::TempDir() + "corpus_format_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".gold";
+  void TearDown() override { std::filesystem::remove(path_); }
 };
 
 TEST_F(CorpusFormatTest, SaveLoadRoundTripsExactly) {

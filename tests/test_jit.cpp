@@ -3,7 +3,9 @@
 // fallback paths, and translation validation of the generated native
 // kernels against the reference interpreter at 0 ULP — including the
 // 200-program random sweep across thread counts and the full baroclinic
-// dycore step.
+// dycore step — plus the one-parallel-region-per-kernel structure: barrier
+// hazard stencils across teams, bands and k maps, and the generated dycore
+// module's region and barrier counts.
 //
 // Naming note: suite/test names deliberately avoid the substrings the
 // sanitizer CI jobs select on (they would dlopen libgomp-linked kernels
@@ -14,10 +16,16 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/dsl/builder.hpp"
+#include "core/exec/jit/abi.hpp"
 #include "core/exec/jit/cache.hpp"
+#include "core/exec/jit/codegen.hpp"
 #include "core/exec/jit/compiler.hpp"
 #include "core/exec/jit/jit.hpp"
 #include "core/util/rng.hpp"
@@ -284,6 +292,170 @@ TEST(JitBackend, DycoreStepBitwiseVsInterpreter) {
   const auto report =
       verify::check_parallel_agrees(verify::without_callbacks(prog), jit_run(2), -1, -1, vo);
   EXPECT_TRUE(report.equivalent) << report.first_failure();
+}
+
+// ------------------------------------------ parallel region per kernel -----
+
+/// Every hazard the barrier pass must order, one multi-statement stencil
+/// each. Each kernel is one parallel region whose units close with a barrier
+/// only where the next unit depends on the units since the last one, so a
+/// misjudged hazard shows up as a race between worksharing loops.
+std::vector<std::pair<std::string, ir::Program>> hazard_programs() {
+  using dsl::E;
+  std::vector<std::pair<std::string, ir::Program>> out;
+  auto add = [&](const std::string& name, const dsl::StencilFunc& stencil,
+                 const std::vector<std::string>& planes = {}) {
+    ir::Program p(name);
+    for (const std::string& f : planes) {
+      p.set_field_meta(f, ir::FieldMeta{ir::FieldKind::Plane2D, false});
+    }
+    p.append_state(ir::State{"s", {ir::SNode::make_stencil(name, stencil, {})}});
+    out.emplace_back(name, std::move(p));
+  };
+  {
+    dsl::StencilBuilder b("raw_zero");
+    auto in = b.field("in"), a = b.field("a"), c = b.field("c");
+    b.parallel().full().assign(a, 2.0 * E(in) + 1.0).assign(c, E(a) * E(in) - E(a));
+    add("raw_zero", b.build());
+  }
+  {
+    dsl::StencilBuilder b("raw_j");
+    auto in = b.field("in"), t = b.temp("t"), c = b.field("c");
+    b.parallel().full().assign(t, E(in) * E(in) + 0.5).assign(c, t(0, 1) - t(0, -1) + t(1, 0));
+    add("raw_j", b.build());
+  }
+  {
+    dsl::StencilBuilder b("raw_k");
+    auto in = b.field("in"), t = b.temp("t"), c = b.field("c");
+    b.parallel().full().assign(t, E(in) * 3.0 - 1.0);
+    b.parallel().interval(dsl::inner_levels(1, 1)).assign(c, t(0, 0, 1) - t(0, 0, -1));
+    add("raw_k", b.build());
+  }
+  {
+    dsl::StencilBuilder b("war_j");
+    auto in = b.field("in"), a = b.field("a"), c = b.field("c");
+    b.parallel().full().assign(c, a(0, 1) + a(0, -1) - a(1, 0)).assign(a, E(in) * 0.25);
+    add("war_j", b.build());
+  }
+  {
+    dsl::StencilBuilder b("waw_regions");
+    auto in = b.field("in"), a = b.field("a"), c = b.field("c");
+    b.parallel()
+        .full()
+        .assign(a, E(in) + 1.0)
+        .assign_in(dsl::region_j_start(2), a, E(in) * 2.0)
+        .assign(c, E(in) - 3.0)
+        .assign_in(dsl::region_i_end(3), a, in(0, 1) * 0.5)
+        .assign_in(dsl::region_j_end(1), a, in(-1, 0) - 4.0);
+    add("waw_regions", b.build());
+  }
+  {
+    dsl::StencilBuilder b("broadcast");
+    auto in = b.field("in"), p = b.field("p"), c = b.field("c");
+    b.parallel().full().assign(p, E(in) * 1.5 + 2.0).assign(c, p(0, 1) + p(1, 0) - E(in));
+    add("broadcast", b.build(), {"p"});
+  }
+  {
+    dsl::StencilBuilder b("two_phase");
+    auto in = b.field("in"), a = b.field("a"), d = b.field("d"), c = b.field("c");
+    b.parallel()
+        .full()
+        .assign(a, a(1, 0) + a(0, -1) - E(in))
+        .assign(d, d(0, 1) * 0.5 + E(in))
+        .assign(c, a(0, 1) + d(-1, 0));
+    add("two_phase", b.build());
+  }
+  {
+    dsl::StencilBuilder b("column_then_map");
+    auto in = b.field("in"), col = b.field("col"), pl = b.field("pl"), c = b.field("c");
+    auto fwd = b.forward();
+    fwd.interval(dsl::first_levels(1)).assign(col, E(in)).assign(pl, E(in) * 0.5);
+    fwd.interval(dsl::make_interval({1, false}, {0, true}))
+        .assign(col, col(0, 0, -1) * 0.75 + E(in));
+    fwd.interval(dsl::make_interval({1, false}, {0, true}))
+        .assign(pl, pl(0, 0, -1) + col(0, 1) - col(1, 0));
+    b.parallel().full().assign(c, col(0, 1) + col(0, -1) + pl(1, 0));
+    add("column_then_map", b.build());
+  }
+  return out;
+}
+
+TEST(JitRegion, BarrierHazardsBitwiseAcrossTeamsBandsAndKMaps) {
+  if (!have_compiler()) GTEST_SKIP() << "no host compiler";
+  // Large enough that every loop clears the 1024-point fork threshold, at
+  // the tile origin and at the far corner (each region lands somewhere).
+  verify::VerifyOptions vo;
+  exec::LaunchDomain corner{24, 20, 6};
+  corner.gni = 48;
+  corner.gnj = 40;
+  corner.gi0 = 24;
+  corner.gj0 = 20;
+  vo.domains = {exec::LaunchDomain{24, 20, 6}, corner};
+  for (auto& [name, program] : hazard_programs()) {
+    for (const int tile_j : {0, 1, 3}) {
+      for (const bool k_as_map : {false, true}) {
+        for (auto& state : program.states()) {
+          for (auto& node : state.nodes) {
+            node.schedule.tile_j = tile_j;
+            node.schedule.k_as_map = k_as_map;
+          }
+        }
+        for (const int threads : {1, 2, 3, 7}) {
+          const auto report = verify::check_parallel_agrees(program, jit_run(threads), -1, -1, vo);
+          ASSERT_TRUE(report.equivalent)
+              << name << " tile_j=" << tile_j << " k_as_map=" << k_as_map
+              << " threads=" << threads << ": " << report.first_failure();
+        }
+      }
+    }
+  }
+}
+
+/// The generated dycore module: one parallel region per kernel and none
+/// nested, with the barrier pass's decisions pinned so that a change to the
+/// analysis shows up in review.
+TEST(JitRegion, DycoreKernelsOpenOneRegionEach) {
+  fv3::FvConfig cfg;
+  cfg.npx = 12;
+  cfg.npz = 8;
+  cfg.ntracers = 2;
+  grid::Partitioner part(cfg.npx, 1, 1);
+  fv3::ModelState state(cfg, part, 0);
+  const ir::Program prog = fv3::build_dycore_program(state);
+  std::vector<std::shared_ptr<exec::CompiledStencil>> owned;
+  std::vector<const exec::CompiledStencil*> stencils;
+  std::set<const dsl::StencilFunc*> seen;
+  for (const auto& st : prog.states()) {
+    for (const auto& node : st.nodes) {
+      if (node.kind != ir::SNode::Kind::Stencil || !seen.insert(node.stencil.get()).second) {
+        continue;
+      }
+      owned.push_back(std::make_shared<exec::CompiledStencil>(*node.stencil));
+      stencils.push_back(owned.back().get());
+    }
+  }
+  const std::string tu = exec::jit::emit_translation_unit(stencils);
+  auto count = [](const std::string& text, const std::string& what) {
+    int n = 0;
+    for (size_t at = text.find(what); at != std::string::npos; at = text.find(what, at + 1)) ++n;
+    return n;
+  };
+  EXPECT_NE(tu.find("// ABI v" + std::to_string(exec::jit::kAbiVersion) + " "),
+            std::string::npos);
+  ASSERT_EQ(count(tu, "extern \"C\" void cyk_"), static_cast<int>(stencils.size()));
+  for (size_t k = 0; k < stencils.size(); ++k) {
+    const std::string head = "extern \"C\" void cyk_" + std::to_string(k) + "(";
+    const size_t begin = tu.find(head);
+    ASSERT_NE(begin, std::string::npos) << head;
+    const std::string body = tu.substr(begin, tu.find("\n}\n", begin) - begin);
+    EXPECT_EQ(count(body, "omp parallel"), 1) << stencils[k]->stencil().name();
+  }
+  EXPECT_EQ(count(tu, "omp parallel for"), 0);
+  // 47 kernels, 217 units (201 parallel maps, 16 column sweeps): 170 unit
+  // boundaries, of which the slot-level rule lets 48 go without a barrier.
+  EXPECT_EQ(stencils.size(), 47u);
+  EXPECT_EQ(count(tu, "#pragma omp barrier"), 122);
+  EXPECT_EQ(count(tu, "// nowait: "), 48);
 }
 
 }  // namespace
