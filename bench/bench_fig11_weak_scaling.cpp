@@ -14,9 +14,9 @@
 #include "comm/elastic.hpp"
 #include "comm/halo.hpp"
 #include "comm/runtime.hpp"
+#include "comm/verify_distributed.hpp"
 #include "core/exec/jit/compiler.hpp"
 #include "core/dsl/builder.hpp"
-#include "core/util/rng.hpp"
 #include "core/xform/passes.hpp"
 #include "fv3/driver.hpp"
 #include "fv3/init/baroclinic.hpp"
@@ -131,23 +131,9 @@ double measured_diffusion_seconds(int num_ranks, bool concurrent, bool overlap, 
   const int side = static_cast<int>(std::lround(std::sqrt(num_ranks / 6.0)));
   const grid::Partitioner part = grid::Partitioner::for_ranks(48 * side, num_ranks);
   const comm::HaloUpdater halo(part, 3);
-  const int nk = 32;
-  std::vector<FieldCatalog> cats;
-  std::vector<comm::RankDomain> ranks;
-  for (int r = 0; r < num_ranks; ++r) {
-    const grid::RankInfo info = part.info(r);
-    exec::LaunchDomain dom;
-    dom.ni = info.ni;
-    dom.nj = info.nj;
-    dom.nk = nk;
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    cats.push_back(verify::make_test_catalog(p, p, dom, Rng::mix(0xF16, r)));
-    ranks.push_back(comm::RankDomain{nullptr, dom});
-  }
-  for (int r = 0; r < num_ranks; ++r) ranks[static_cast<size_t>(r)].catalog = &cats[static_cast<size_t>(r)];
+  const auto doms = comm::launch_domains(part, /*nk=*/32);
+  std::vector<FieldCatalog> cats = verify::seeded_catalogs(p, doms, 0xF16);
+  std::vector<comm::RankDomain> ranks = comm::bind_ranks(cats, doms);
 
   if (!concurrent) {
     comm::SimComm sim(num_ranks);
@@ -168,22 +154,6 @@ double measured_diffusion_seconds(int num_ranks, bool concurrent, bool overlap, 
   return timer.seconds() / steps;
 }
 
-/// Per-rank seeded catalogs + rank domains for `part` (diffusion chain).
-std::vector<FieldCatalog> chain_catalogs(const ir::Program& p, const grid::Partitioner& part,
-                                         int nk, uint64_t seed) {
-  std::vector<FieldCatalog> cats;
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const grid::RankInfo info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    cats.push_back(verify::make_test_catalog(p, p, dom, Rng::mix(seed, r)));
-  }
-  return cats;
-}
-
 /// The elastic shrink/grow timeline: step the diffusion chain through the
 /// elastic runtime one global step at a time, so every row carries the wall
 /// time of its step and any membership change (with the resize latency split
@@ -200,7 +170,8 @@ std::vector<std::string> run_elastic_timeline(bool print) {
     comm::ElasticOptions eo;
     eo.runtime.channel.recv_timeout_seconds = bench::recv_timeout_seconds();
     eo.plan.events = {{2, 6}, {5, 24}};
-    comm::ElasticRuntime ert(p, nk, 3, part, chain_catalogs(p, part, nk, 0xE1A0), eo);
+    comm::ElasticRuntime ert(
+        p, nk, 3, part, verify::seeded_catalogs(p, comm::launch_domains(part, nk), 0xE1A0), eo);
     if (print) {
       std::printf("%6s %6s %12s %10s  %s\n", "step", "ranks", "step time", "resize",
                   "resize latency (snapshot + rebuild + refresh)");
@@ -260,7 +231,8 @@ std::vector<std::string> run_elastic_timeline(bool print) {
     eo.balancer.enabled = true;
     eo.balancer.trigger_ratio = 1.5;
     eo.balancer.warmup_steps = 2;
-    comm::ElasticRuntime ert(p, nk, 3, part, chain_catalogs(p, part, nk, 0xBA1A), eo);
+    comm::ElasticRuntime ert(
+        p, nk, 3, part, verify::seeded_catalogs(p, comm::launch_domains(part, nk), 0xBA1A), eo);
     WallTimer timer;
     const comm::ElasticReport r = ert.run(steps);
     const double total = timer.seconds();
@@ -532,6 +504,7 @@ int main(int argc, char** argv) {
     const grid::Partitioner part = grid::Partitioner::for_ranks(48, 6);
     const comm::HaloUpdater halo(part, 3);
     const int nk = 32, steps = 4;
+    const auto doms = comm::launch_domains(part, nk);
 
     struct Scenario {
       const char* name;
@@ -554,24 +527,8 @@ int main(int argc, char** argv) {
 
     double clean_seconds = 0;
     for (const Scenario& sc : scenarios) {
-      std::vector<FieldCatalog> cats;
-      std::vector<comm::RankDomain> ranks;
-      for (int r = 0; r < part.num_ranks(); ++r) {
-        const grid::RankInfo info = part.info(r);
-        exec::LaunchDomain dom;
-        dom.ni = info.ni;
-        dom.nj = info.nj;
-        dom.nk = nk;
-        dom.gi0 = info.i0;
-        dom.gj0 = info.j0;
-        dom.gni = part.n();
-        dom.gnj = part.n();
-        cats.push_back(verify::make_test_catalog(p, p, dom, Rng::mix(0xFA17, r)));
-        ranks.push_back(comm::RankDomain{&cats.back(), dom});
-      }
-      for (int r = 0; r < part.num_ranks(); ++r) {
-        ranks[static_cast<size_t>(r)].catalog = &cats[static_cast<size_t>(r)];
-      }
+      std::vector<FieldCatalog> cats = verify::seeded_catalogs(p, doms, 0xFA17);
+      std::vector<comm::RankDomain> ranks = comm::bind_ranks(cats, doms);
       comm::RuntimeOptions ro;
       ro.channel.recv_timeout_seconds = bench::recv_timeout_seconds();
       ro.faults = sc.plan;

@@ -10,21 +10,6 @@ namespace cyclone::comm {
 
 namespace {
 
-std::vector<exec::LaunchDomain> build_rank_domains(const grid::Partitioner& part, int nk) {
-  std::vector<exec::LaunchDomain> doms;
-  doms.reserve(static_cast<size_t>(part.num_ranks()));
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const auto info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    doms.push_back(dom);
-  }
-  return doms;
-}
-
 void accumulate(ReliabilityCounters& into, const ReliabilityCounters& c) {
   into.reliable_sends += c.reliable_sends;
   into.retransmits += c.retransmits;
@@ -267,9 +252,8 @@ ElasticRuntime::ElasticRuntime(const ir::Program& program, int nk, int halo_widt
   part_ = std::make_unique<grid::Partitioner>(initial);
   halo_ = std::make_unique<HaloUpdater>(*part_, halo_width_);
   cats_ = std::move(catalogs);
-  doms_ = build_rank_domains(*part_, nk_);
-  ranks_.clear();
-  for (size_t r = 0; r < cats_.size(); ++r) ranks_.push_back(RankDomain{&cats_[r], doms_[r]});
+  doms_ = launch_domains(*part_, nk_);
+  ranks_ = bind_ranks(cats_, doms_);
   build_runtime();
   balancer_.reset(part_->num_ranks());
 }
@@ -279,9 +263,8 @@ void ElasticRuntime::rebuild_roster(int target) {
   part_ = std::make_unique<grid::Partitioner>(grid::Partitioner::for_ranks(n, target));
   halo_ = std::make_unique<HaloUpdater>(*part_, halo_width_);
   cats_ = std::vector<FieldCatalog>(static_cast<size_t>(target));
-  doms_ = build_rank_domains(*part_, nk_);
-  ranks_.clear();
-  for (size_t r = 0; r < cats_.size(); ++r) ranks_.push_back(RankDomain{&cats_[r], doms_[r]});
+  doms_ = launch_domains(*part_, nk_);
+  ranks_ = bind_ranks(cats_, doms_);
 }
 
 void ElasticRuntime::build_runtime() {

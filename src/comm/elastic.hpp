@@ -224,11 +224,6 @@ class ElasticRuntime {
   [[nodiscard]] const LoadBalancer& balancer() const { return balancer_; }
   [[nodiscard]] const std::vector<RankDomain>& rank_domains() const { return ranks_; }
 
-  /// Current owned global state of `name` (see assemble_owned).
-  [[nodiscard]] std::vector<double> assemble(const std::string& name) const {
-    return assemble_owned(*part_, ranks_, name);
-  }
-
   /// Apply one membership change now (between steps). Returns false — with a
   /// structured ResizeRecord carrying the reason — when `target` is not a
   /// valid roster; the run continues on the old roster.

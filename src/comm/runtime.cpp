@@ -19,6 +19,30 @@ bool is_halo_only(const ir::State& st) {
          });
 }
 
+std::vector<exec::LaunchDomain> launch_domains(const grid::Partitioner& part, int nk) {
+  std::vector<exec::LaunchDomain> doms;
+  doms.reserve(static_cast<size_t>(part.num_ranks()));
+  for (int r = 0; r < part.num_ranks(); ++r) {
+    const grid::RankInfo info = part.info(r);
+    exec::LaunchDomain dom{info.ni, info.nj, nk};
+    dom.gi0 = info.i0;
+    dom.gj0 = info.j0;
+    dom.gni = part.n();
+    dom.gnj = part.n();
+    doms.push_back(dom);
+  }
+  return doms;
+}
+
+std::vector<RankDomain> bind_ranks(std::vector<FieldCatalog>& cats,
+                                   const std::vector<exec::LaunchDomain>& doms) {
+  CY_REQUIRE_MSG(cats.size() == doms.size(), "bind_ranks: catalog/domain count mismatch");
+  std::vector<RankDomain> ranks;
+  ranks.reserve(cats.size());
+  for (size_t r = 0; r < cats.size(); ++r) ranks.push_back(RankDomain{&cats[r], doms[r]});
+  return ranks;
+}
+
 namespace {
 
 /// Post rank `rank`'s sends for one halo-exchange node (pack included, so

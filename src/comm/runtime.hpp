@@ -24,6 +24,14 @@ struct RankDomain {
   exec::LaunchDomain dom;
 };
 
+/// The launch domain of every rank of `part` (rank order): each rank's
+/// owned block with `nk` levels, placed on its tile of the global grid.
+std::vector<exec::LaunchDomain> launch_domains(const grid::Partitioner& part, int nk);
+
+/// Pair rank r's catalog with its domain, for every rank of `doms`.
+std::vector<RankDomain> bind_ranks(std::vector<FieldCatalog>& cats,
+                                   const std::vector<exec::LaunchDomain>& doms);
+
 /// Destination for rollback-restart checkpoints. Implementations capture the
 /// complete field state of every rank; `save` is only ever called at a step
 /// boundary with the channel drained, so a checkpoint is globally consistent

@@ -5,29 +5,13 @@
 #include <sstream>
 #include <string>
 
+#include "comm/elastic.hpp"
 #include "comm/simcomm.hpp"
+#include "core/dsl/builder.hpp"
 #include "core/util/rng.hpp"
 
 namespace cyclone::verify {
 
-namespace {
-
-std::vector<exec::LaunchDomain> rank_domains(const grid::Partitioner& part, int nk) {
-  std::vector<exec::LaunchDomain> doms;
-  doms.reserve(static_cast<size_t>(part.num_ranks()));
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const auto info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    doms.push_back(dom);
-  }
-  return doms;
-}
-
-/// Identically seeded per-rank catalogs; both schedulers start from these.
 std::vector<FieldCatalog> seeded_catalogs(const ir::Program& program,
                                           const std::vector<exec::LaunchDomain>& doms,
                                           uint64_t seed) {
@@ -39,97 +23,272 @@ std::vector<FieldCatalog> seeded_catalogs(const ir::Program& program,
   return cats;
 }
 
-std::vector<comm::RankDomain> bind(std::vector<FieldCatalog>& cats,
-                                   const std::vector<exec::LaunchDomain>& doms) {
-  std::vector<comm::RankDomain> ranks;
-  ranks.reserve(cats.size());
-  for (size_t r = 0; r < cats.size(); ++r) {
-    ranks.push_back(comm::RankDomain{&cats[r], doms[r]});
+DomainResult compare_ranks_bitwise(const std::vector<comm::RankDomain>& ref,
+                                   const std::vector<comm::RankDomain>& got,
+                                   const std::string& prefix,
+                                   const std::vector<std::string>& names) {
+  CY_REQUIRE_MSG(ref.size() == got.size(), "compare_ranks_bitwise: " << ref.size() << " vs "
+                                                                      << got.size() << " ranks");
+  DomainResult dr;
+  if (!ref.empty()) dr.dom = ref[0].dom;
+  FieldDivergence witness;
+  for (size_t r = 0; r < ref.size(); ++r) {
+    const std::string tag = ref.size() > 1 ? prefix + "r" + std::to_string(r) + "/" : prefix;
+    for (const auto& name : names.empty() ? ref[r].catalog->names() : names) {
+      FieldDivergence d =
+          compare_fields_bitwise(tag + name, ref[r].catalog->at(name), got[r].catalog->at(name));
+      if (!d.ok) {
+        dr.fields.push_back(std::move(d));
+      } else if (witness.field.empty()) {
+        witness = std::move(d);
+      }
+    }
   }
-  return ranks;
+  dr.ok = dr.fields.empty();
+  if (dr.ok && !witness.field.empty()) dr.fields.push_back(std::move(witness));
+  return dr;
+}
+
+// ---- Test programs ------------------------------------------------------------
+
+ir::Program make_diffusion_program() {
+  using dsl::E;
+  ir::Program p("diffusion");
+  p.append_state(ir::State{"hx", {ir::SNode::make_halo_exchange("hx.q", {"q"}, 3)}});
+  dsl::StencilBuilder b("diffuse");
+  auto q = b.field("q");
+  auto lap = b.field("lap");
+  auto out = b.field("out");
+  b.parallel().full().assign(lap, q(1, 0) + q(-1, 0) + q(0, 1) + q(0, -1) - E(q) * 4.0);
+  b.parallel().full().assign(
+      out, E(q) + (lap(1, 0) + lap(-1, 0) + lap(0, 1) + lap(0, -1) - E(lap) * 4.0) * 0.1);
+  p.append_state(ir::State{"compute", {ir::SNode::make_stencil("diffuse", b.build())}});
+  return p;
+}
+
+ir::Program make_vector_program() {
+  ir::Program p("vector");
+  p.append_state(
+      ir::State{"hx", {ir::SNode::make_halo_exchange("hx.uv", {"u", "v"}, 3, true)}});
+  dsl::StencilBuilder b("div");
+  auto u = b.field("u");
+  auto v = b.field("v");
+  auto d = b.field("d");
+  b.parallel().full().assign(d, u(1, 0) - u(-1, 0) + v(0, 1) - v(0, -1));
+  p.append_state(ir::State{"compute", {ir::SNode::make_stencil("div", b.build())}});
+  return p;
+}
+
+ir::Program make_elastic_program(int trips) {
+  using dsl::E;
+  ir::Program p("elastic-diffusion");
+  const int hx = p.add_state(ir::State{"hx", {ir::SNode::make_halo_exchange("hx.q", {"q"}, 3)}});
+  dsl::StencilBuilder b("diffuse");
+  auto q = b.field("q");
+  auto lap = b.field("lap");
+  auto out = b.field("out");
+  b.parallel().full().assign(lap, q(1, 0) + q(-1, 0) + q(0, 1) + q(0, -1) - E(q) * 4.0);
+  b.parallel().full().assign(
+      out, E(q) + (lap(1, 0) + lap(-1, 0) + lap(0, 1) + lap(0, -1) - E(lap) * 4.0) * 0.1);
+  const int cm =
+      p.add_state(ir::State{"compute", {ir::SNode::make_stencil("diffuse", b.build())}});
+  dsl::StencilBuilder c("commit");
+  auto q2 = c.field("q");
+  auto out2 = c.field("out");
+  c.parallel().full().assign(q2, E(out2));
+  const int cp = p.add_state(ir::State{"commit", {ir::SNode::make_stencil("commit", c.build())}});
+  p.control_flow().children.push_back(ir::CFNode::loop(
+      "it", trips,
+      {ir::CFNode::state_ref(hx), ir::CFNode::state_ref(cm), ir::CFNode::state_ref(cp)}));
+  return p;
+}
+
+namespace {
+
+/// A field-by-field copy (FieldCatalog is move-only; copy_from also reads
+/// through arena-backed views).
+FieldCatalog clone(const FieldCatalog& src) {
+  FieldCatalog out;
+  for (const auto& name : src.names()) {
+    out.create(name, src.at(name).shape()).copy_from(src.at(name));
+  }
+  return out;
+}
+
+/// What every check shares: the decomposition, the pristine starting
+/// catalogs, and the lockstep reference run `steps` passes from them.
+/// `data_seed` fills the default starting state and is logged in reports.
+struct Harness {
+  const ir::Program& program;
+  uint64_t data_seed;
+  int steps;
+  std::vector<exec::LaunchDomain> doms;
+  comm::HaloUpdater halo;
+  std::vector<FieldCatalog> start;
+  std::vector<FieldCatalog> ref_cats;
+  std::vector<comm::RankDomain> ref;
+  comm::SimComm sim;
+
+  Harness(const ir::Program& program, const grid::Partitioner& part, int nk, int halo_width,
+          uint64_t data_seed, const std::vector<comm::RankDomain>& start_ranks, int steps)
+      : program(program),
+        data_seed(data_seed),
+        steps(steps),
+        doms(comm::launch_domains(part, nk)),
+        halo(part, halo_width),
+        sim(part.num_ranks()) {
+    if (start_ranks.empty()) {
+      start = seeded_catalogs(program, doms, data_seed);
+    } else {
+      CY_REQUIRE_MSG(start_ranks.size() == doms.size(),
+                     "starting state has " << start_ranks.size() << " ranks, the partitioner "
+                                           << doms.size());
+      for (const auto& rd : start_ranks) start.push_back(clone(*rd.catalog));
+    }
+    for (const auto& cat : start) ref_cats.push_back(clone(cat));
+    ref = comm::bind_ranks(ref_cats, doms);
+    for (int s = 0; s < steps; ++s) comm::run_lockstep_step(program, halo, ref, sim);
+  }
+};
+
+/// The owned cells of every field of `ranks` as one roster-independent
+/// catalog in assemble_owned's global order: field (gi, gj, tile * nk + k),
+/// no halos.
+FieldCatalog owned_catalog(const grid::Partitioner& part,
+                           const std::vector<comm::RankDomain>& ranks) {
+  FieldCatalog out;
+  const int n = part.n();
+  for (const auto& name : ranks.at(0).catalog->names()) {
+    const std::vector<double> global = comm::assemble_owned(part, ranks, name);
+    const int planes = static_cast<int>(global.size() / (static_cast<size_t>(n) * n));
+    FieldD& f = out.create(name, FieldShape(n, n, planes, HaloSpec{0, 0}));
+    size_t at = 0;
+    for (int k = 0; k < planes; ++k) {
+      for (int j = 0; j < n; ++j) {
+        for (int i = 0; i < n; ++i) f(i, j, k) = global[at++];
+      }
+    }
+  }
+  return out;
+}
+
+/// One run of a plan sweep.
+struct Cell {
+  comm::RuntimeOptions runtime;  ///< faults and recovery included
+  bool rebuild = false;          ///< needs a runtime built with these options
+  uint64_t seed = 0;             ///< logged as the DomainResult's fill_seed
+  std::string what;              ///< names the cell in errors
+};
+
+/// The one plan sweep: every cell restarts the subject ranks from the
+/// pristine starting state, runs `h.steps` steps on the concurrent runtime
+/// and must (a) complete, (b) match the lockstep reference bitwise, (c)
+/// send exactly the reference's messages and bytes unless it rolled back,
+/// and (d) return every halo staging buffer to its pool. A runtime is reused
+/// across cells until one asks for a rebuild (per-rank program copies are
+/// costly to make).
+EquivalenceReport sweep(
+    const Harness& h, const std::vector<Cell>& cells,
+    const std::function<std::unique_ptr<comm::CheckpointStore>()>& make_store = {}) {
+  EquivalenceReport report;
+  report.data_seed = h.data_seed;
+  std::vector<FieldCatalog> cats;
+  for (const auto& cat : h.start) cats.push_back(clone(cat));
+  const std::vector<comm::RankDomain> ranks = comm::bind_ranks(cats, h.doms);
+  std::unique_ptr<comm::ConcurrentRuntime> rt;
+  for (const Cell& cell : cells) {
+    DomainResult dr;
+    try {
+      for (size_t r = 0; r < cats.size(); ++r) {
+        for (const auto& name : h.start[r].names()) {
+          cats[r].at(name).copy_from(h.start[r].at(name));
+        }
+      }
+      if (!rt || cell.rebuild) {
+        rt = std::make_unique<comm::ConcurrentRuntime>(h.program, h.halo, ranks, cell.runtime);
+      }
+      std::unique_ptr<comm::CheckpointStore> store;
+      comm::RecoveryOptions rec = cell.runtime.recovery;
+      if (rec.enabled && make_store) {
+        store = make_store();
+        rec.store = store.get();
+      }
+      rt->set_fault_options(cell.runtime.faults, rec);
+      rt->comm().reset_counters();
+      const comm::RunReport rr = rt->run(h.steps);
+      if (!rr.ok) {
+        dr.ok = false;
+        dr.error = cell.what + " did not complete: " + rr.failure;
+      } else {
+        dr = compare_ranks_bitwise(h.ref, ranks);
+        std::ostringstream os;
+        if (!dr.ok) {
+          os << "diverges from the lockstep reference under " << cell.what;
+        } else if (rr.restarts == 0 && (rt->comm().total_messages() != h.sim.total_messages() ||
+                                        rt->comm().total_bytes() != h.sim.total_bytes())) {
+          os << "channel counters diverge from lockstep reference under " << cell.what
+             << ": messages " << rt->comm().total_messages() << " vs " << h.sim.total_messages()
+             << ", bytes " << rt->comm().total_bytes() << " vs " << h.sim.total_bytes();
+        } else if (rt->halo().pool_outstanding() != 0) {
+          os << "halo pool leak under " << cell.what << ": " << rt->halo().pool_outstanding()
+             << " buffers outstanding after drain";
+        }
+        dr.error = os.str();
+        dr.ok = dr.error.empty();
+      }
+    } catch (const std::exception& e) {
+      dr.ok = false;
+      dr.error = cell.what + ": " + e.what();
+    }
+    dr.dom = h.doms[0];
+    dr.fill_seed = cell.seed;
+    report.equivalent = report.equivalent && dr.ok;
+    report.domains.push_back(std::move(dr));
+  }
+  return report;
 }
 
 }  // namespace
 
+FieldCatalog lockstep_owned(const ir::Program& program, const grid::Partitioner& part, int nk,
+                            int halo_width, uint64_t seed, int steps) {
+  const Harness h(program, part, nk, halo_width, seed, {}, steps);
+  return owned_catalog(part, h.ref);
+}
+
+DomainResult compare_owned(const FieldCatalog& ref, const grid::Partitioner& part,
+                           const std::vector<comm::RankDomain>& ranks,
+                           const std::string& prefix) {
+  FieldCatalog got = owned_catalog(part, ranks);
+  // compare_ranks_bitwise only reads through the catalog pointers.
+  return compare_ranks_bitwise({{const_cast<FieldCatalog*>(&ref), {}}}, {{&got, {}}}, prefix);
+}
+
 EquivalenceReport check_distributed_agrees(const ir::Program& program,
                                            const grid::Partitioner& part, int nk,
                                            int halo_width,
-                                           const DistributedVerifyOptions& options) {
-  EquivalenceReport report;
-  report.data_seed = options.data_seed;
-
-  const auto doms = rank_domains(part, nk);
-  const comm::HaloUpdater halo(part, halo_width);
-
-  // Lockstep reference: the sequential phase-based scheduler through the
-  // deterministic SimComm mailboxes.
-  auto ref_cats = seeded_catalogs(program, doms, options.data_seed);
-  comm::SimComm sim(part.num_ranks());
-  {
-    auto ranks = bind(ref_cats, doms);
-    for (int s = 0; s < options.steps; ++s) {
-      comm::run_lockstep_step(program, halo, ranks, sim);
-    }
-  }
-
-  int config = 0;
+                                           const DistributedVerifyOptions& options,
+                                           const std::vector<comm::RankDomain>& start) {
+  const Harness h(program, part, nk, halo_width, options.data_seed, start, options.steps);
+  std::vector<Cell> cells;
   for (const int budget : options.thread_budgets) {
     for (const bool overlap : {true, false}) {
-      if (!overlap && !options.include_overlap_off) continue;
-      for (int rep = 0; rep < options.repetitions; ++rep, ++config) {
-        const uint64_t jitter_seed = Rng::mix(options.data_seed ^ 0xA221117ull, config);
-        DomainResult dr;
-        dr.dom = doms[0];
-        dr.fill_seed = jitter_seed;
-        try {
-          auto cats = seeded_catalogs(program, doms, options.data_seed);
-          comm::RuntimeOptions ro;
-          ro.overlap = overlap;
-          ro.run = program.run_options();
-          ro.run.threads_per_rank = budget;
-          ro.channel.recv_timeout_seconds = options.recv_timeout_seconds;
-          ro.channel.arrival_jitter_seed = jitter_seed;
-          ro.channel.arrival_jitter_max_us = options.arrival_jitter_max_us;
-          comm::ConcurrentRuntime rt(program, halo, bind(cats, doms), ro);
-          for (int s = 0; s < options.steps; ++s) rt.step();
-
-          FieldDivergence worst;
-          for (int r = 0; r < part.num_ranks(); ++r) {
-            for (const auto& name : ref_cats[static_cast<size_t>(r)].names()) {
-              FieldDivergence d = compare_fields_bitwise(
-                  "r" + std::to_string(r) + "/" + name,
-                  ref_cats[static_cast<size_t>(r)].at(name),
-                  cats[static_cast<size_t>(r)].at(name));
-              if (!d.ok) dr.fields.push_back(d);
-              if (worst.field.empty() || d.max_ulps > worst.max_ulps) worst = d;
-            }
-          }
-          if (dr.fields.empty() && !worst.field.empty()) dr.fields.push_back(worst);
-          dr.ok = dr.fields.empty() || (dr.fields.size() == 1 && dr.fields[0].ok);
-          // The concurrent channel must account for exactly the traffic the
-          // lockstep mailboxes saw.
-          if (rt.comm().total_messages() != sim.total_messages() ||
-              rt.comm().total_bytes() != sim.total_bytes()) {
-            std::ostringstream os;
-            os << "channel counters diverge from lockstep reference: messages "
-               << rt.comm().total_messages() << " vs " << sim.total_messages() << ", bytes "
-               << rt.comm().total_bytes() << " vs " << sim.total_bytes();
-            dr.error = os.str();
-            dr.ok = false;
-          }
-        } catch (const std::exception& e) {
-          std::ostringstream os;
-          os << "threads_per_rank=" << budget << " overlap=" << (overlap ? "on" : "off")
-             << " rep=" << rep << ": " << e.what();
-          dr.error = os.str();
-          dr.ok = false;
-        }
-        report.equivalent = report.equivalent && dr.ok;
-        report.domains.push_back(std::move(dr));
+      for (int rep = 0; rep < options.repetitions; ++rep) {
+        Cell cell;
+        cell.rebuild = true;
+        cell.seed = Rng::mix(options.data_seed ^ 0xA221117ull, cells.size());
+        cell.runtime.overlap = overlap;
+        cell.runtime.run = program.run_options();
+        cell.runtime.run.threads_per_rank = budget;
+        cell.runtime.channel.recv_timeout_seconds = options.recv_timeout_seconds;
+        cell.runtime.channel.arrival_jitter_seed = cell.seed;
+        cell.what = "threads_per_rank=" + std::to_string(budget) +
+                    " overlap=" + (overlap ? "on" : "off") + " rep=" + std::to_string(rep);
+        cells.push_back(std::move(cell));
       }
     }
   }
-  return report;
+  return sweep(h, cells);
 }
 
 const char* fault_mode_name(FaultMode mode) {
@@ -188,102 +347,31 @@ comm::FaultPlan make_chaos_plan(FaultMode mode, uint64_t fault_seed, double rate
 
 EquivalenceReport check_fault_tolerant(const ir::Program& program,
                                        const grid::Partitioner& part, int nk, int halo_width,
-                                       const FaultToleranceOptions& options) {
-  EquivalenceReport report;
-  report.data_seed = options.data_seed;
-
-  const auto doms = rank_domains(part, nk);
-  const comm::HaloUpdater halo(part, halo_width);
+                                       const FaultToleranceOptions& options,
+                                       const std::vector<comm::RankDomain>& start) {
+  const Harness h(program, part, nk, halo_width, options.data_seed, start, options.steps);
   const size_t order_len = program.flatten_execution_order().size();
-
-  // Fault-free lockstep reference, run once.
-  auto ref_cats = seeded_catalogs(program, doms, options.data_seed);
-  comm::SimComm sim(part.num_ranks());
-  {
-    auto ranks = bind(ref_cats, doms);
-    for (int s = 0; s < options.steps; ++s) {
-      comm::run_lockstep_step(program, halo, ranks, sim);
-    }
-  }
-
-  // One subject runtime reused across all plans (rebuilding per-rank program
-  // copies per plan would dominate the sweep); pristine initial fields are
-  // kept aside and copied back in before every run.
-  const auto init_cats = seeded_catalogs(program, doms, options.data_seed);
-  auto cats = seeded_catalogs(program, doms, options.data_seed);
-  comm::RuntimeOptions ro;
-  ro.run = program.run_options();
-  ro.run.threads_per_rank = options.threads_per_rank;
-  ro.channel.recv_timeout_seconds = options.recv_timeout_seconds;
-  comm::ConcurrentRuntime rt(program, halo, bind(cats, doms), ro);
-
-  comm::RecoveryOptions recovery;
-  recovery.enabled = true;
-  recovery.checkpoint_interval = options.checkpoint_interval;
-  recovery.max_restarts = options.max_restarts;
-
-  int config = 0;
+  std::vector<Cell> cells;
   for (const FaultMode mode : options.modes) {
-    for (int s = 0; s < options.seeds_per_mode; ++s, ++config) {
-      const uint64_t fault_seed = Rng::mix(options.fault_seed_base, config);
-      const comm::FaultPlan plan =
-          make_chaos_plan(mode, fault_seed, options.rate, options.steps, options.crash_rank,
+    for (int s = 0; s < options.seeds_per_mode; ++s) {
+      Cell cell;
+      cell.seed = Rng::mix(options.fault_seed_base, cells.size());
+      cell.runtime.run = program.run_options();
+      cell.runtime.run.threads_per_rank = 1;
+      cell.runtime.channel.recv_timeout_seconds = options.recv_timeout_seconds;
+      cell.runtime.faults =
+          make_chaos_plan(mode, cell.seed, options.rate, options.steps, options.crash_rank,
                           options.crash_step, part.num_ranks(), order_len);
-      comm::RecoveryOptions rec = recovery;
-      if (mode == FaultMode::Hang) rec.heartbeat_timeout_seconds = options.hang_heartbeat_seconds;
-      DomainResult dr;
-      dr.dom = doms[0];
-      dr.fill_seed = fault_seed;
-      try {
-        for (size_t r = 0; r < doms.size(); ++r) {
-          for (const auto& name : init_cats[r].names()) {
-            cats[r].at(name).copy_from(init_cats[r].at(name));
-          }
-        }
-        rt.set_fault_options(plan, rec);
-        const comm::RunReport rr = rt.run(options.steps);
-        if (!rr.ok) {
-          dr.error = std::string(fault_mode_name(mode)) + " plan [" +
-                     comm::describe_plan(plan) + "] did not recover: " + rr.failure;
-          dr.ok = false;
-        } else {
-          FieldDivergence worst;
-          for (int r = 0; r < part.num_ranks(); ++r) {
-            for (const auto& name : ref_cats[static_cast<size_t>(r)].names()) {
-              FieldDivergence d = compare_fields_bitwise(
-                  "r" + std::to_string(r) + "/" + name,
-                  ref_cats[static_cast<size_t>(r)].at(name),
-                  cats[static_cast<size_t>(r)].at(name));
-              if (!d.ok) dr.fields.push_back(d);
-              if (worst.field.empty() || d.max_ulps > worst.max_ulps) worst = d;
-            }
-          }
-          if (dr.fields.empty() && !worst.field.empty()) dr.fields.push_back(worst);
-          dr.ok = dr.fields.empty() || (dr.fields.size() == 1 && dr.fields[0].ok);
-          if (!dr.ok) {
-            dr.error = std::string("recovered run diverges under ") + fault_mode_name(mode) +
-                       " plan [" + comm::describe_plan(plan) + "]";
-          }
-          // Staging buffers must all be back in their pools once drained.
-          if (rt.halo().pool_outstanding() != 0) {
-            std::ostringstream os;
-            os << "halo pool leak under " << fault_mode_name(mode) << " plan ["
-               << comm::describe_plan(plan) << "]: " << rt.halo().pool_outstanding()
-               << " buffers outstanding after drain";
-            dr.error = os.str();
-            dr.ok = false;
-          }
-        }
-      } catch (const std::exception& e) {
-        dr.error = std::string(fault_mode_name(mode)) + " plan [" + comm::describe_plan(plan) +
-                   "]: " + e.what();
-        dr.ok = false;
+      cell.runtime.recovery.enabled = true;
+      if (mode == FaultMode::Hang) {
+        cell.runtime.recovery.heartbeat_timeout_seconds = options.hang_heartbeat_seconds;
       }
-      report.equivalent = report.equivalent && dr.ok;
-      report.domains.push_back(std::move(dr));
+      cell.what = std::string(fault_mode_name(mode)) + " plan [" +
+                  comm::describe_plan(cell.runtime.faults) + "]";
+      cells.push_back(std::move(cell));
     }
   }
-  return report;
+  return sweep(h, cells, options.checkpoint_store);
 }
 
 }  // namespace cyclone::verify

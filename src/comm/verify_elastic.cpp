@@ -1,101 +1,11 @@
 #include "comm/verify_elastic.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <exception>
-#include <limits>
 #include <utility>
 
-#include "comm/simcomm.hpp"
-#include "core/dsl/builder.hpp"
 #include "core/util/rng.hpp"
 
 namespace cyclone::verify {
-
-namespace {
-
-std::vector<exec::LaunchDomain> rank_domains(const grid::Partitioner& part, int nk) {
-  std::vector<exec::LaunchDomain> doms;
-  doms.reserve(static_cast<size_t>(part.num_ranks()));
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const auto info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    doms.push_back(dom);
-  }
-  return doms;
-}
-
-std::vector<FieldCatalog> seeded_catalogs(const ir::Program& program,
-                                          const std::vector<exec::LaunchDomain>& doms,
-                                          uint64_t seed) {
-  std::vector<FieldCatalog> cats;
-  cats.reserve(doms.size());
-  for (size_t r = 0; r < doms.size(); ++r) {
-    cats.push_back(make_test_catalog(program, program, doms[r], Rng::mix(seed, r)));
-  }
-  return cats;
-}
-
-std::vector<comm::RankDomain> bind(std::vector<FieldCatalog>& cats,
-                                   const std::vector<exec::LaunchDomain>& doms) {
-  std::vector<comm::RankDomain> ranks;
-  ranks.reserve(cats.size());
-  for (size_t r = 0; r < cats.size(); ++r) {
-    ranks.push_back(comm::RankDomain{&cats[r], doms[r]});
-  }
-  return ranks;
-}
-
-/// Compare one assembled global field bitwise against the reference.
-FieldDivergence compare_global(const std::string& label, const std::vector<double>& ref,
-                               const std::vector<double>& got) {
-  FieldDivergence d;
-  d.field = label;
-  if (ref.size() != got.size()) {
-    d.ok = false;
-    d.max_ulps = std::numeric_limits<double>::infinity();
-    return d;
-  }
-  for (size_t i = 0; i < ref.size(); ++i) {
-    const double u = ulp_distance(ref[i], got[i]);
-    if (u > d.max_ulps) {
-      d.max_ulps = u;
-      d.max_abs = std::abs(ref[i] - got[i]);
-      d.at_i = static_cast<int>(i);  // flat global index; tile/j/i recoverable
-    }
-    if (u != 0.0) d.ok = false;
-  }
-  return d;
-}
-
-}  // namespace
-
-ir::Program make_elastic_program(int trips) {
-  ir::Program p("elastic-diffusion");
-  const int hx = p.add_state(ir::State{"hx", {ir::SNode::make_halo_exchange("hx.q", {"q"}, 3)}});
-  dsl::StencilBuilder b("diffuse");
-  auto q = b.field("q");
-  auto lap = b.field("lap");
-  auto out = b.field("out");
-  b.parallel().full().assign(lap, q(1, 0) + q(-1, 0) + q(0, 1) + q(0, -1) - dsl::E(q) * 4.0);
-  b.parallel().full().assign(out, dsl::E(q) + (lap(1, 0) + lap(-1, 0) + lap(0, 1) + lap(0, -1) -
-                                               dsl::E(lap) * 4.0) *
-                                                  0.1);
-  const int cm = p.add_state(ir::State{"compute", {ir::SNode::make_stencil("diffuse", b.build())}});
-  dsl::StencilBuilder c("commit");
-  auto q2 = c.field("q");
-  auto out2 = c.field("out");
-  c.parallel().full().assign(q2, dsl::E(out2));
-  const int cp = p.add_state(ir::State{"commit", {ir::SNode::make_stencil("commit", c.build())}});
-  p.control_flow().children.push_back(ir::CFNode::loop(
-      "it", trips,
-      {ir::CFNode::state_ref(hx), ir::CFNode::state_ref(cm), ir::CFNode::state_ref(cp)}));
-  return p;
-}
 
 EquivalenceReport check_elastic_agrees(const ir::Program& program, int n, int nk,
                                        int halo_width, const ElasticVerifyOptions& options) {
@@ -123,18 +33,8 @@ EquivalenceReport check_elastic_agrees(const ir::Program& program, int n, int nk
 
       // Static-membership lockstep reference at the initial roster.
       const grid::Partitioner part0 = grid::Partitioner::for_ranks(n, options.initial_ranks);
-      const comm::HaloUpdater halo(part0, halo_width);
-      const auto doms = rank_domains(part0, nk);
-      auto ref_cats = seeded_catalogs(prog, doms, seed);
-      auto ref_ranks = bind(ref_cats, doms);
-      comm::SimComm sim(part0.num_ranks());
-      for (int t = 0; t < options.steps; ++t) {
-        comm::run_lockstep_step(prog, halo, ref_ranks, sim);
-      }
-      std::vector<std::pair<std::string, std::vector<double>>> ref_globals;
-      for (const auto& name : ref_cats[0].names()) {
-        ref_globals.emplace_back(name, comm::assemble_owned(part0, ref_ranks, name));
-      }
+      const auto doms = comm::launch_domains(part0, nk);
+      const FieldCatalog ref = lockstep_owned(prog, part0, nk, halo_width, seed, options.steps);
 
       struct Scenario {
         const char* label;
@@ -189,16 +89,10 @@ EquivalenceReport check_elastic_agrees(const ir::Program& program, int n, int nk
                        std::to_string(ert.halo().pool_outstanding()) + " buffers outstanding";
           }
           if (dr.error.empty()) {
-            FieldDivergence worst;
-            for (const auto& [name, ref] : ref_globals) {
-              FieldDivergence d =
-                  compare_global(backend_name + "/" + sc.label + "/" + name, ref,
-                                 ert.assemble(name));
-              if (!d.ok) dr.fields.push_back(d);
-              if (worst.field.empty() || d.max_ulps > worst.max_ulps) worst = d;
-            }
-            if (dr.fields.empty() && !worst.field.empty()) dr.fields.push_back(worst);
-            dr.ok = dr.fields.empty() || (dr.fields.size() == 1 && dr.fields[0].ok);
+            const DomainResult cmp = compare_owned(ref, ert.partitioner(), ert.rank_domains(),
+                                                   backend_name + "/" + sc.label + "/");
+            dr.fields = cmp.fields;
+            dr.ok = cmp.ok;
           } else {
             dr.ok = false;
           }

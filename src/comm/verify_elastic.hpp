@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "comm/elastic.hpp"
-#include "core/verify/verify.hpp"
+#include "comm/verify_distributed.hpp"
 
 namespace cyclone::verify {
 
@@ -28,12 +28,6 @@ struct ElasticVerifyOptions {
   int rejoin_after_steps = 2;     ///< degraded-roster steps before growing back
   double recv_timeout_seconds = 120.0;
 };
-
-/// The canonical elastic test program: halo exchange -> 5-point diffusion ->
-/// commit (q advances every pass, so a resize at the wrong barrier or a
-/// mis-scattered subdomain corrupts every later step). `trips` unrolls the
-/// exchange/compute/commit sequence inside one pass.
-ir::Program make_elastic_program(int trips = 2);
 
 /// Prove the elastic runtime invisible to the numerics: for every backend x
 /// seed, run the static-membership lockstep reference at `initial_ranks`,

@@ -86,7 +86,9 @@ double ulp_distance(double a, double b);
 /// Bitwise comparison of two same-shaped fields over their full storage,
 /// halos included. Used by the distributed runtime checks, where halo cells
 /// are observable state (the exchange writes them) and the contract is exact
-/// equality: ok iff every cell matches at 0 ULP.
+/// equality: ok iff every cell has the same bit pattern, so a +0/-0 or NaN
+/// payload difference fails. The reported location is the first cell at the
+/// largest ulp_distance among the differing ones.
 FieldDivergence compare_fields_bitwise(const std::string& label, const FieldD& a,
                                        const FieldD& b);
 
@@ -104,13 +106,6 @@ FieldCatalog make_test_catalog(const ir::Program& a, const ir::Program& b,
 /// against the FORTRAN reference, applied to our own transformation pipeline.
 EquivalenceReport check_equivalent(const ir::Program& original, const ir::Program& transformed,
                                    const VerifyOptions& options = {});
-
-/// Self-consistency check of the execution backends: the same program run
-/// once on the default (OpenMP) backend and once through the reference
-/// interpreter must agree. Catches codegen bugs rather than transformation
-/// bugs (the GT4Py debug-backend methodology).
-EquivalenceReport check_backends_agree(const ir::Program& program,
-                                       const VerifyOptions& options = {});
 
 /// Serial-vs-parallel check of the schedule-aware engine: run `program`
 /// through the serial reference interpreter and through the compiled engine

@@ -1,24 +1,10 @@
 #include "ensemble/verify_ensemble.hpp"
 
-#include <cstring>
 #include <sstream>
 
-namespace cyclone::ensemble {
+#include "comm/verify_distributed.hpp"
 
-bool bitwise_equal(const FieldD& a, const FieldD& b) {
-  if (!(a.shape() == b.shape())) return false;
-  const FieldShape& s = a.shape();
-  for (int k = 0; k < s.nk(); ++k) {
-    for (int j = -s.halo().j; j < s.nj() + s.halo().j; ++j) {
-      for (int i = -s.halo().i; i < s.ni() + s.halo().i; ++i) {
-        const double va = a(i, j, k);
-        const double vb = b(i, j, k);
-        if (std::memcmp(&va, &vb, sizeof(double)) != 0) return false;
-      }
-    }
-  }
-  return true;
-}
+namespace cyclone::ensemble {
 
 template <class Model>
 std::unique_ptr<Model> solo_member(const typename ModelTraits<Model>::Config& config,
@@ -70,19 +56,18 @@ EnsembleVerifyReport verify_batched_vs_solo(const typename ModelTraits<Model>::C
                                          runner.options().members[static_cast<size_t>(m)],
                                          options.amplitude);
           for (int s = 0; s < options.steps; ++s) solo->step();
-          Model& batched = runner.member(m);
-          for (int r = 0; r < solo->num_ranks(); ++r) {
-            for (const std::string& name : prognostics) {
-              ++report.comparisons;
-              if (!bitwise_equal(batched.state(r).f(name), solo->state(r).f(name))) {
-                ++report.mismatches;
-                std::ostringstream msg;
-                msg << ModelTraits<Model>::core << " backend=" << exec::backend_name(backend)
-                    << " members=" << count << " seed=" << seed << " member=" << m
-                    << " rank=" << r << " field=" << name << ": batched != solo";
-                report.failures.push_back(msg.str());
-              }
-            }
+          const verify::DomainResult dr = verify::compare_ranks_bitwise(
+              solo->rank_domains(), runner.member(m).rank_domains(), {}, prognostics);
+          report.comparisons += static_cast<long>(solo->num_ranks() * prognostics.size());
+          for (const verify::FieldDivergence& d : dr.fields) {
+            if (d.ok) continue;
+            ++report.mismatches;
+            std::ostringstream msg;
+            msg << ModelTraits<Model>::core << " backend=" << exec::backend_name(backend)
+                << " members=" << count << " seed=" << seed << " member=" << m
+                << " field=" << d.field << ": batched != solo at (" << d.at_i << "," << d.at_j
+                << "," << d.at_k << ")";
+            report.failures.push_back(msg.str());
           }
         }
       }

@@ -8,11 +8,6 @@
 
 namespace cyclone::ensemble {
 
-/// Exact bit-pattern equality of two same-shaped fields over the addressable
-/// region (compute domain + halos). Stricter than max_abs_diff == 0: NaN
-/// payloads and signed zeros must match too.
-bool bitwise_equal(const FieldD& a, const FieldD& b);
-
 /// Build a solo (non-arena, single-model) replica of one ensemble member:
 /// same config, schedules, run options, initial condition and perturbation
 /// stream — the reference the batched member is diffed against. Runs through
@@ -48,7 +43,8 @@ struct EnsembleVerifyReport {
 
 /// Run the sweep: for every backend x member count x seed, advance a batched
 /// ensemble and, independently, a solo replica of each member, then demand
-/// every prognostic field of every rank agree bit for bit.
+/// every prognostic field of every rank agree bit for bit
+/// (verify::compare_ranks_bitwise).
 template <class Model>
 EnsembleVerifyReport verify_batched_vs_solo(const typename ModelTraits<Model>::Config& config,
                                             const EnsembleVerifyOptions& options);

@@ -143,6 +143,12 @@ void init_baroclinic(DistributedModel& model, const BaroclinicCase& params) {
   model.exchange_prognostics();
 }
 
+std::unique_ptr<DistributedModel> baroclinic_model(const FvConfig& config, int num_ranks) {
+  auto model = std::make_unique<DistributedModel>(config, num_ranks);
+  init_baroclinic(*model);
+  return model;
+}
+
 void init_solid_body(ModelState& state, const grid::Partitioner& part, double speed) {
   BaroclinicCase calm;
   calm.u0 = 0.0;

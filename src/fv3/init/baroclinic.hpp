@@ -1,5 +1,7 @@
 #pragma once
 
+#include <memory>
+
 #include "fv3/driver.hpp"
 #include "fv3/state.hpp"
 
@@ -29,6 +31,12 @@ void init_baroclinic(ModelState& state, const grid::Partitioner& part,
 
 /// Initialize every rank of a distributed model and exchange halos.
 void init_baroclinic(DistributedModel& model, const BaroclinicCase& params = {});
+
+/// A distributed model at the baroclinic initial state: the dycore as a
+/// subject of the distributed 0-ULP checks (comm/verify_distributed.hpp),
+/// which take its program(), partitioner(), halo width 3 and, as the
+/// starting state, its rank_domains().
+std::unique_ptr<DistributedModel> baroclinic_model(const FvConfig& config, int num_ranks);
 
 /// Solid-body-rotation flow (u = const * cos(lat) eastward) — a smooth
 /// advection test whose tracer field must circle the sphere unchanged.

@@ -9,7 +9,6 @@
 #include "comm/elastic.hpp"
 #include "comm/simcomm.hpp"
 #include "comm/verify_elastic.hpp"
-#include "core/util/rng.hpp"
 #include "core/verify/corpus.hpp"
 #include "core/verify/verify.hpp"
 #include "grid/partitioner.hpp"
@@ -17,67 +16,14 @@
 namespace cyclone::comm {
 namespace {
 
-std::vector<exec::LaunchDomain> domains_for(const grid::Partitioner& part, int nk) {
-  std::vector<exec::LaunchDomain> doms;
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const auto info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    doms.push_back(dom);
-  }
-  return doms;
-}
+using verify::seeded_catalogs;
 
-std::vector<FieldCatalog> seeded_catalogs(const ir::Program& program,
-                                          const std::vector<exec::LaunchDomain>& doms,
-                                          uint64_t seed) {
-  std::vector<FieldCatalog> cats;
-  cats.reserve(doms.size());
-  for (size_t r = 0; r < doms.size(); ++r) {
-    cats.push_back(verify::make_test_catalog(program, program, doms[r], Rng::mix(seed, r)));
-  }
-  return cats;
-}
-
-std::vector<RankDomain> bind(std::vector<FieldCatalog>& cats,
-                             const std::vector<exec::LaunchDomain>& doms) {
-  std::vector<RankDomain> ranks;
-  for (size_t r = 0; r < cats.size(); ++r) ranks.push_back(RankDomain{&cats[r], doms[r]});
-  return ranks;
-}
-
-/// Static-membership lockstep reference: run `steps` passes and return the
-/// assembled global owned cells of every field.
-std::vector<std::pair<std::string, std::vector<double>>> reference_globals(
-    const ir::Program& program, int n, int nranks, int nk, int halo_width, uint64_t seed,
-    int steps) {
-  const grid::Partitioner part = grid::Partitioner::for_ranks(n, nranks);
-  const HaloUpdater halo(part, halo_width);
-  const auto doms = domains_for(part, nk);
-  auto cats = seeded_catalogs(program, doms, seed);
-  auto ranks = bind(cats, doms);
-  SimComm sim(part.num_ranks());
-  for (int t = 0; t < steps; ++t) run_lockstep_step(program, halo, ranks, sim);
-  std::vector<std::pair<std::string, std::vector<double>>> out;
-  for (const auto& name : cats[0].names())
-    out.emplace_back(name, assemble_owned(part, ranks, name));
-  return out;
-}
-
-void expect_bitwise_vs_reference(
-    ElasticRuntime& ert,
-    const std::vector<std::pair<std::string, std::vector<double>>>& ref) {
-  for (const auto& [name, want] : ref) {
-    const auto got = ert.assemble(name);
-    ASSERT_EQ(want.size(), got.size()) << name;
-    for (size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(verify::ulp_distance(want[i], got[i]), 0.0)
-          << name << " diverges at flat index " << i;
-    }
-  }
+/// 0-ULP check of an elastic run's owned cells against the static-membership
+/// lockstep reference (verify::lockstep_owned).
+void expect_bitwise_vs_reference(const ElasticRuntime& ert, const FieldCatalog& ref) {
+  const verify::DomainResult dr =
+      verify::compare_owned(ref, ert.partitioner(), ert.rank_domains());
+  EXPECT_TRUE(dr.ok) << verify::EquivalenceReport{false, 0, {dr}}.first_failure();
 }
 
 // ---- Membership plan parsing ----------------------------------------------
@@ -132,9 +78,9 @@ TEST(RekeyPlan, ClearFailureDropsOneShotCrashButKeepsMessageFaults) {
 TEST(MemoryCheckpointStore, KeepsOnlyLastKSnapshotsOldestFirst) {
   const ir::Program p = verify::make_elastic_program(1);
   const grid::Partitioner part = grid::Partitioner::for_ranks(6, 6);
-  const auto doms = domains_for(part, 2);
+  const auto doms = launch_domains(part, 2);
   auto cats = seeded_catalogs(p, doms, 7);
-  auto ranks = bind(cats, doms);
+  auto ranks = bind_ranks(cats, doms);
 
   MemoryCheckpointStore store(2);
   store.save(0, ranks);
@@ -149,9 +95,9 @@ TEST(MemoryCheckpointStore, KeepsOnlyLastKSnapshotsOldestFirst) {
 TEST(ElasticCheckpointStore, EvictsOldestCompleteSnapshots) {
   const ir::Program p = verify::make_elastic_program(1);
   const grid::Partitioner part = grid::Partitioner::for_ranks(6, 6);
-  const auto doms = domains_for(part, 2);
+  const auto doms = launch_domains(part, 2);
   auto cats = seeded_catalogs(p, doms, 11);
-  auto ranks = bind(cats, doms);
+  auto ranks = bind_ranks(cats, doms);
 
   ElasticCheckpointStore store(2);
   store.set_roster(part);
@@ -165,9 +111,9 @@ TEST(ElasticCheckpointStore, EvictsOldestCompleteSnapshots) {
 TEST(ElasticCheckpointStore, CrashDuringMigrationLeavesPartialThatGcReclaims) {
   const ir::Program p = verify::make_elastic_program(1);
   const grid::Partitioner part = grid::Partitioner::for_ranks(6, 6);
-  const auto doms = domains_for(part, 2);
+  const auto doms = launch_domains(part, 2);
   auto cats = seeded_catalogs(p, doms, 13);
-  auto ranks = bind(cats, doms);
+  auto ranks = bind_ranks(cats, doms);
 
   ElasticCheckpointStore store(3);
   store.set_roster(part);
@@ -194,9 +140,9 @@ TEST(ElasticCheckpointStore, MigratesStateAcrossRosters) {
   const ir::Program p = verify::make_elastic_program(1);
   const int n = 12, nk = 3;
   const grid::Partitioner big = grid::Partitioner::for_ranks(n, 24);
-  const auto big_doms = domains_for(big, nk);
+  const auto big_doms = launch_domains(big, nk);
   auto big_cats = seeded_catalogs(p, big_doms, 17);
-  auto big_ranks = bind(big_cats, big_doms);
+  auto big_ranks = bind_ranks(big_cats, big_doms);
   const auto want = assemble_owned(big, big_ranks, "q");
 
   ElasticCheckpointStore store(2);
@@ -206,16 +152,13 @@ TEST(ElasticCheckpointStore, MigratesStateAcrossRosters) {
   // Scatter onto a 6-rank roster with empty catalogs: restore() must create
   // every field from the snapshot's shape metadata and fill owned cells.
   const grid::Partitioner small = grid::Partitioner::for_ranks(n, 6);
-  const auto small_doms = domains_for(small, nk);
+  const auto small_doms = launch_domains(small, nk);
   std::vector<FieldCatalog> small_cats(small_doms.size());
-  auto small_ranks = bind(small_cats, small_doms);
+  auto small_ranks = bind_ranks(small_cats, small_doms);
   store.set_roster(small);
   EXPECT_EQ(store.restore(small_ranks), 5);
 
-  const auto got = assemble_owned(small, small_ranks, "q");
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(verify::ulp_distance(want[i], got[i]), 0.0) << "q differs at " << i;
+  EXPECT_EQ(want, assemble_owned(small, small_ranks, "q"));
 }
 
 // ---- Load balancer ---------------------------------------------------------
@@ -275,7 +218,7 @@ TEST(Elastic, InvalidRosterIsRejectedMidRunWithStructuredError) {
   const int n = 12, nk = 3, steps = 5;
   const uint64_t seed = 0xBADC0DE;
   const grid::Partitioner part = grid::Partitioner::for_ranks(n, 12);
-  const auto doms = domains_for(part, nk);
+  const auto doms = launch_domains(part, nk);
   auto cats = seeded_catalogs(p, doms, seed);
 
   ElasticOptions eo;
@@ -292,7 +235,8 @@ TEST(Elastic, InvalidRosterIsRejectedMidRunWithStructuredError) {
   EXPECT_EQ(ert.num_ranks(), 6);
   EXPECT_EQ(ert.halo().pool_outstanding(), 0);
 
-  const auto ref = reference_globals(p, n, 12, nk, 3, seed, steps);
+  const FieldCatalog ref = verify::lockstep_owned(
+      p, grid::Partitioner::for_ranks(n, 12), nk, 3, seed, steps);
   expect_bitwise_vs_reference(ert, ref);
 }
 
@@ -301,7 +245,7 @@ TEST(Elastic, ResizeToMinimumRosterRuns) {
   const int n = 12, nk = 2, steps = 4;
   const uint64_t seed = 0x600D;
   const grid::Partitioner part = grid::Partitioner::for_ranks(n, 24);
-  const auto doms = domains_for(part, nk);
+  const auto doms = launch_domains(part, nk);
   auto cats = seeded_catalogs(p, doms, seed);
 
   ElasticOptions eo;
@@ -318,7 +262,8 @@ TEST(Elastic, ResizeToMinimumRosterRuns) {
   EXPECT_GE(report.resize_log[0].total_seconds(), 0.0);
   EXPECT_EQ(ert.halo().pool_outstanding(), 0);
 
-  const auto ref = reference_globals(p, n, 24, nk, 3, seed, steps);
+  const FieldCatalog ref = verify::lockstep_owned(
+      p, grid::Partitioner::for_ranks(n, 24), nk, 3, seed, steps);
   expect_bitwise_vs_reference(ert, ref);
 }
 
@@ -330,7 +275,7 @@ TEST(Elastic, InjectedImbalanceTriggersRebalanceAndStaysBitwise) {
   const int n = 6, nk = 2, steps = 8;
   const uint64_t seed = 0x51077;
   const grid::Partitioner part = grid::Partitioner::for_ranks(n, 6);
-  const auto doms = domains_for(part, nk);
+  const auto doms = launch_domains(part, nk);
   auto cats = seeded_catalogs(p, doms, seed);
 
   ElasticOptions eo;
@@ -351,7 +296,8 @@ TEST(Elastic, InjectedImbalanceTriggersRebalanceAndStaysBitwise) {
   EXPECT_EQ(ert.halo().pool_outstanding(), 0);
 
   // The spin is wall-time only: numerics must match the unperturbed run.
-  const auto ref = reference_globals(p, n, 6, nk, 3, seed, steps);
+  const FieldCatalog ref = verify::lockstep_owned(
+      p, grid::Partitioner::for_ranks(n, 6), nk, 3, seed, steps);
   expect_bitwise_vs_reference(ert, ref);
 }
 
@@ -359,7 +305,7 @@ TEST(Elastic, ReportJsonCarriesResizeLogChannelAndHealth) {
   const ir::Program p = verify::make_elastic_program();
   const int n = 12, nk = 2;
   const grid::Partitioner part = grid::Partitioner::for_ranks(n, 12);
-  const auto doms = domains_for(part, nk);
+  const auto doms = launch_domains(part, nk);
   auto cats = seeded_catalogs(p, doms, 0xFEED);
 
   ElasticOptions eo;
@@ -389,9 +335,9 @@ TEST(RunReport, ExposesPerRankHealthAndSerializesToJson) {
   const ir::Program p = verify::make_elastic_program(1);
   const grid::Partitioner part = grid::Partitioner::for_ranks(6, 6);
   const HaloUpdater halo(part, 3);
-  const auto doms = domains_for(part, 2);
+  const auto doms = launch_domains(part, 2);
   auto cats = seeded_catalogs(p, doms, 0xCAFE);
-  auto ranks = bind(cats, doms);
+  auto ranks = bind_ranks(cats, doms);
 
   ConcurrentRuntime rt(p, halo, std::move(ranks));
   const RunReport report = rt.run(3);
@@ -417,7 +363,7 @@ TEST(Elastic, GoldenChecksumInvariantAcross24To6To24) {
   const int n = 12, nk = 3, steps = 6;
   const uint64_t seed = 0x601DEA;
   const grid::Partitioner part = grid::Partitioner::for_ranks(n, 24);
-  const auto doms = domains_for(part, nk);
+  const auto doms = launch_domains(part, nk);
   auto cats = seeded_catalogs(p, doms, seed);
 
   ElasticOptions eo;
@@ -442,7 +388,7 @@ TEST(Elastic, GoldenChecksumInvariantAcross24To6To24) {
   const grid::Partitioner ref_part = grid::Partitioner::for_ranks(n, 24);
   const HaloUpdater ref_halo(ref_part, 3);
   auto ref_cats = seeded_catalogs(p, doms, seed);
-  auto ref_ranks = bind(ref_cats, doms);
+  auto ref_ranks = bind_ranks(ref_cats, doms);
   SimComm sim(ref_part.num_ranks());
   for (int t = 0; t < steps; ++t) run_lockstep_step(p, ref_halo, ref_ranks, sim);
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "comm/verify_distributed.hpp"
 #include "core/verify/corpus.hpp"
 #include "ensemble/ensemble.hpp"
 #include "ensemble/service.hpp"
@@ -30,6 +31,14 @@ fv3::FvConfig small_dycore() {
   cfg.ntracers = 1;
   cfg.dt = 300.0;
   return cfg;
+}
+
+/// Every prognostic of every rank of `a` and `b` agrees bit for bit.
+void expect_prognostics_bitwise(swe::SweModel& a, swe::SweModel& b, const swe::SweConfig& cfg,
+                                const std::string& what) {
+  const verify::DomainResult dr = verify::compare_ranks_bitwise(
+      a.rank_domains(), b.rank_domains(), {}, swe::SweState::prognostic_names(cfg.ntracers));
+  EXPECT_TRUE(dr.ok) << what << ": " << verify::EquivalenceReport{false, 0, {dr}}.first_failure();
 }
 
 // --- Perturbation generator -------------------------------------------------
@@ -65,12 +74,7 @@ TEST(EnsemblePerturb, SameSeedSameICsAcrossProcesses) {
     apply_initial_condition(*model, "hill");
     perturb_model(*model, spec, 1e-3);
   }
-  for (int r = 0; r < a.num_ranks(); ++r) {
-    for (const std::string& name : swe::SweState::prognostic_names(cfg.ntracers)) {
-      EXPECT_TRUE(bitwise_equal(a.state(r).f(name), b.state(r).f(name)))
-          << "rank " << r << " field " << name;
-    }
-  }
+  expect_prognostics_bitwise(a, b, cfg, "same spec");
 }
 
 TEST(EnsemblePerturb, PerturbedICsAreDecompositionInvariant) {
@@ -212,13 +216,9 @@ TEST(EnsembleBatched, MemberBatchChunkingIsBitwiseInvariant) {
   for (int chunk : {1, 2, 3}) {
     auto chunked = run(chunk);
     for (int m = 0; m < reference->members(); ++m) {
-      for (int r = 0; r < reference->member(m).num_ranks(); ++r) {
-        for (const std::string& name : swe::SweState::prognostic_names(cfg.ntracers)) {
-          EXPECT_TRUE(bitwise_equal(reference->member(m).state(r).f(name),
-                                    chunked->member(m).state(r).f(name)))
-              << "chunk " << chunk << " member " << m << " rank " << r << " field " << name;
-        }
-      }
+      expect_prognostics_bitwise(reference->member(m), chunked->member(m), cfg,
+                                 "chunk " + std::to_string(chunk) + " member " +
+                                     std::to_string(m));
     }
   }
 }
@@ -288,12 +288,7 @@ TEST(EnsembleResilient, CrashedRankMidBatchRecoversBitwise) {
                                            runner.options().members[static_cast<size_t>(m)],
                                            runner.options().amplitude);
     for (int s = 0; s < steps; ++s) solo->step();
-    for (int r = 0; r < solo->num_ranks(); ++r) {
-      for (const std::string& name : swe::SweState::prognostic_names(cfg.ntracers)) {
-        EXPECT_TRUE(bitwise_equal(runner.member(m).state(r).f(name), solo->state(r).f(name)))
-            << "member " << m << " rank " << r << " field " << name;
-      }
-    }
+    expect_prognostics_bitwise(runner.member(m), *solo, cfg, "member " + std::to_string(m));
   }
 }
 
@@ -320,13 +315,8 @@ TEST(EnsembleTune, TuningRunsOnLiveStateWithoutPerturbingIt) {
   reference.init("vortex");
   reference.run(static_cast<int>(steps_taken));
   for (int m = 0; m < tuned.members(); ++m) {
-    for (int r = 0; r < tuned.member(m).num_ranks(); ++r) {
-      for (const std::string& name : swe::SweState::prognostic_names(cfg.ntracers)) {
-        EXPECT_TRUE(bitwise_equal(tuned.member(m).state(r).catalog().at(name),
-                                  reference.member(m).state(r).catalog().at(name)))
-            << "member " << m << " rank " << r << " field " << name;
-      }
-    }
+    expect_prognostics_bitwise(tuned.member(m), reference.member(m), cfg,
+                               "member " + std::to_string(m));
   }
 }
 

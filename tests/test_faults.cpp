@@ -7,59 +7,15 @@
 #include "comm/runtime.hpp"
 #include "comm/simcomm.hpp"
 #include "comm/verify_distributed.hpp"
-#include "core/dsl/builder.hpp"
-#include "core/util/rng.hpp"
-#include "fv3/verify_distributed.hpp"
+#include "fv3/init/baroclinic.hpp"
+#include "fv3/serialization.hpp"
 #include "grid/partitioner.hpp"
 
 namespace cyclone::comm {
 namespace {
 
-using dsl::E;
-using dsl::StencilBuilder;
-
-// ---- Test programs (mirroring test_runtime.cpp) ----------------------------
-
-ir::Program make_diffusion_program() {
-  ir::Program p("diffusion");
-  p.append_state(ir::State{"hx", {ir::SNode::make_halo_exchange("hx.q", {"q"}, 3)}});
-  StencilBuilder b("diffuse");
-  auto q = b.field("q");
-  auto lap = b.field("lap");
-  auto out = b.field("out");
-  b.parallel().full().assign(lap, q(1, 0) + q(-1, 0) + q(0, 1) + q(0, -1) - E(q) * 4.0);
-  b.parallel().full().assign(
-      out, E(q) + (lap(1, 0) + lap(-1, 0) + lap(0, 1) + lap(0, -1) - E(lap) * 4.0) * 0.1);
-  p.append_state(ir::State{"compute", {ir::SNode::make_stencil("diffuse", b.build())}});
-  return p;
-}
-
-ir::Program make_vector_program() {
-  ir::Program p("vector");
-  p.append_state(
-      ir::State{"hx", {ir::SNode::make_halo_exchange("hx.uv", {"u", "v"}, 3, true)}});
-  StencilBuilder b("div");
-  auto u = b.field("u");
-  auto v = b.field("v");
-  auto d = b.field("d");
-  b.parallel().full().assign(d, u(1, 0) - u(-1, 0) + v(0, 1) - v(0, -1));
-  p.append_state(ir::State{"compute", {ir::SNode::make_stencil("div", b.build())}});
-  return p;
-}
-
-std::vector<exec::LaunchDomain> domains_for(const grid::Partitioner& part, int nk) {
-  std::vector<exec::LaunchDomain> doms;
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const auto info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    doms.push_back(dom);
-  }
-  return doms;
-}
+using verify::make_diffusion_program;
+using verify::make_vector_program;
 
 /// Push `count` tagged messages through a fault-injected channel and require
 /// recv to hand back the exact fault-free sequence.
@@ -288,21 +244,10 @@ struct Fixture {
   ir::Program p = make_diffusion_program();
   grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
   HaloUpdater halo{part, 3};
-  std::vector<exec::LaunchDomain> doms = domains_for(part, 3);
-  std::vector<FieldCatalog> cats;
+  std::vector<exec::LaunchDomain> doms = launch_domains(part, 3);
+  std::vector<FieldCatalog> cats = verify::seeded_catalogs(p, doms, 0xFA17);
 
-  Fixture() {
-    for (int r = 0; r < part.num_ranks(); ++r) {
-      cats.push_back(verify::make_test_catalog(p, p, doms[static_cast<size_t>(r)],
-                                               Rng::mix(0xFA17, static_cast<uint64_t>(r))));
-    }
-  }
-
-  std::vector<RankDomain> bind() {
-    std::vector<RankDomain> ranks;
-    for (size_t r = 0; r < cats.size(); ++r) ranks.push_back(RankDomain{&cats[r], doms[r]});
-    return ranks;
-  }
+  std::vector<RankDomain> bind() { return bind_ranks(cats, doms); }
 };
 
 TEST(Recovery, CrashRollsBackAndMatchesFaultFreeRun) {
@@ -332,14 +277,8 @@ TEST(Recovery, CrashRollsBackAndMatchesFaultFreeRun) {
   EXPECT_EQ(store.restores(), 1);
   EXPECT_EQ(rt.halo().pool_outstanding(), 0);
 
-  for (size_t r = 0; r < ref.cats.size(); ++r) {
-    for (const auto& name : ref.cats[r].names()) {
-      const auto d = verify::compare_fields_bitwise("r" + std::to_string(r) + "/" + name,
-                                                    ref.cats[r].at(name), subject.cats[r].at(name));
-      EXPECT_TRUE(d.ok) << d.field << " diverges after crash recovery (" << d.max_ulps
-                        << " ulps)";
-    }
-  }
+  const verify::DomainResult dr = verify::compare_ranks_bitwise(ref.bind(), subject.bind());
+  EXPECT_TRUE(dr.ok) << dr.fields.front().field << " diverges after crash recovery";
 }
 
 TEST(Recovery, HangDetectedByHeartbeatMonitor) {
@@ -476,9 +415,14 @@ TEST(Chaos, DycoreResilientAcrossFaultModes) {
   cfg.npz = 4;
   cfg.ntracers = 1;
 
-  fv3::DycoreChaosOptions opt;
+  const auto model = fv3::baroclinic_model(cfg, 6);
+  verify::FaultToleranceOptions opt;
   opt.seeds_per_mode = 3;
-  const verify::EquivalenceReport report = fv3::verify_resilient_dycore(cfg, 6, opt);
+  opt.fault_seed_base = 0xFC4405;
+  opt.rate = 0.1;
+  opt.checkpoint_store = [] { return std::make_unique<fv3::SavepointStore>(); };
+  const verify::EquivalenceReport report = verify::check_fault_tolerant(
+      model->program(), model->partitioner(), cfg.npz, 3, opt, model->rank_domains());
   EXPECT_TRUE(report.equivalent) << report.first_failure();
   EXPECT_EQ(report.domains.size(), 15u);  // 5 modes x 3 seeds
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 #include <thread>
 #include <vector>
@@ -7,8 +8,7 @@
 #include "comm/runtime.hpp"
 #include "comm/verify_distributed.hpp"
 #include "core/dsl/builder.hpp"
-#include "core/util/rng.hpp"
-#include "fv3/verify_distributed.hpp"
+#include "fv3/init/baroclinic.hpp"
 #include "grid/partitioner.hpp"
 
 namespace cyclone::comm {
@@ -19,37 +19,8 @@ using dsl::StencilBuilder;
 
 // ---- Test programs ---------------------------------------------------------
 
-/// exchange(q) -> lap = 5-point laplacian of q -> out = 5-point of lap.
-/// Transitive read radius of the compute state is 2.
-ir::Program make_diffusion_program() {
-  ir::Program p("diffusion");
-  p.append_state(ir::State{"hx", {ir::SNode::make_halo_exchange("hx.q", {"q"}, 3)}});
-  StencilBuilder b("diffuse");
-  auto q = b.field("q");
-  auto lap = b.field("lap");
-  auto out = b.field("out");
-  b.parallel().full().assign(
-      lap, q(1, 0) + q(-1, 0) + q(0, 1) + q(0, -1) - E(q) * 4.0);
-  b.parallel().full().assign(
-      out, E(q) + (lap(1, 0) + lap(-1, 0) + lap(0, 1) + lap(0, -1) - E(lap) * 4.0) * 0.1);
-  p.append_state(ir::State{"compute", {ir::SNode::make_stencil("diffuse", b.build())}});
-  return p;
-}
-
-/// Vector exchange (u, v) followed by a divergence-like stencil. Exercises
-/// the rotated vector path (sign flips across cube faces) under overlap.
-ir::Program make_vector_program() {
-  ir::Program p("vector");
-  p.append_state(
-      ir::State{"hx", {ir::SNode::make_halo_exchange("hx.uv", {"u", "v"}, 3, true)}});
-  StencilBuilder b("div");
-  auto u = b.field("u");
-  auto v = b.field("v");
-  auto d = b.field("d");
-  b.parallel().full().assign(d, u(1, 0) - u(-1, 0) + v(0, 1) - v(0, -1));
-  p.append_state(ir::State{"compute", {ir::SNode::make_stencil("div", b.build())}});
-  return p;
-}
+using verify::make_diffusion_program;
+using verify::make_vector_program;
 
 /// Two program passes through a loop: the second trip consumes halos the
 /// first trip's compute dirtied, so the exchange must re-run correctly.
@@ -138,20 +109,6 @@ TEST(Runtime, OverlapAnalysisAllowsVerticalRecurrence) {
 
 // ---- Concurrent runtime ----------------------------------------------------
 
-std::vector<exec::LaunchDomain> domains_for(const grid::Partitioner& part, int nk) {
-  std::vector<exec::LaunchDomain> doms;
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const auto info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    doms.push_back(dom);
-  }
-  return doms;
-}
-
 TEST(Distributed, DiffusionAgreesAcrossRankCountsAndBudgets) {
   // The acceptance sweep: rank counts x thread budgets x >= 20 randomized
   // arrival orders, overlap on and off, all bitwise against lockstep.
@@ -194,19 +151,10 @@ TEST(Distributed, OverlapActuallySplitsStates) {
   const ir::Program p = make_diffusion_program();
   const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
   const HaloUpdater halo(part, 3);
-  const auto doms = domains_for(part, 3);
+  const auto doms = launch_domains(part, 3);
+  std::vector<FieldCatalog> cats = verify::seeded_catalogs(p, doms, 0xABC);
 
-  std::vector<FieldCatalog> cats;
-  std::vector<RankDomain> ranks;
-  for (int r = 0; r < 6; ++r) {
-    cats.push_back(verify::make_test_catalog(p, p, doms[static_cast<size_t>(r)],
-                                             Rng::mix(0xABC, static_cast<uint64_t>(r))));
-  }
-  for (int r = 0; r < 6; ++r) {
-    ranks.push_back(RankDomain{&cats[static_cast<size_t>(r)], doms[static_cast<size_t>(r)]});
-  }
-
-  ConcurrentRuntime rt(p, halo, ranks, RuntimeOptions{});
+  ConcurrentRuntime rt(p, halo, bind_ranks(cats, doms), RuntimeOptions{});
   EXPECT_TRUE(rt.plan(1).splittable);
   rt.step();
   rt.step();
@@ -226,12 +174,36 @@ TEST(Distributed, DycoreConcurrentMatchesLockstepBitwise) {
   cfg.ntracers = 2;
   cfg.dt = 300.0;
 
-  fv3::DycoreVerifyOptions opt;
+  const auto model = fv3::baroclinic_model(cfg, 6);
+  verify::DistributedVerifyOptions opt;
+  opt.thread_budgets = {2};
+  opt.repetitions = 1;
   opt.steps = 2;
-  opt.run.threads_per_rank = 2;
-  opt.runtime.channel.arrival_jitter_seed = 0xFEED;
-  const verify::EquivalenceReport report = fv3::verify_concurrent_dycore(cfg, 6, opt);
+  const verify::EquivalenceReport report = verify::check_distributed_agrees(
+      model->program(), model->partitioner(), cfg.npz, 3, opt, model->rank_domains());
   EXPECT_TRUE(report.equivalent) << report.first_failure();
+}
+
+TEST(Distributed, SingleBitDivergenceFailsAndIsNamed) {
+  // The harness is not vacuous: one flipped mantissa bit in one cell of one
+  // rank fails the shared comparison, which names the rank, field and cell.
+  const ir::Program p = make_diffusion_program();
+  const auto doms = launch_domains(grid::Partitioner::for_ranks(12, 6), 3);
+  std::vector<FieldCatalog> ref = verify::seeded_catalogs(p, doms, 0xB17);
+  std::vector<FieldCatalog> got = verify::seeded_catalogs(p, doms, 0xB17);
+  double& cell = got[4].at("q")(5, -1, 1);
+  cell = std::bit_cast<double>(std::bit_cast<uint64_t>(cell) ^ 1u);
+
+  const verify::DomainResult dr =
+      verify::compare_ranks_bitwise(bind_ranks(ref, doms), bind_ranks(got, doms));
+  EXPECT_FALSE(dr.ok);
+  ASSERT_EQ(dr.fields.size(), 1u);
+  EXPECT_EQ(dr.fields[0].field, "r4/q");
+  EXPECT_EQ(dr.fields[0].max_ulps, 1.0);
+  const verify::EquivalenceReport report{false, 0xB17, {dr}};
+  EXPECT_NE(report.first_failure().find("'r4/q' diverges"), std::string::npos);
+  EXPECT_NE(report.first_failure().find("at (5,-1,1)"), std::string::npos)
+      << report.first_failure();
 }
 
 TEST(Distributed, RankFailurePropagatesAndAbortsChannel) {
@@ -241,22 +213,14 @@ TEST(Distributed, RankFailurePropagatesAndAbortsChannel) {
   const ir::Program p = make_diffusion_program();
   const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
   const HaloUpdater halo(part, 3);
-  const auto doms = domains_for(part, 3);
-
-  std::vector<FieldCatalog> cats(6);
-  std::vector<RankDomain> ranks;
-  for (int r = 0; r < 6; ++r) {
-    if (r != 2) {
-      cats[static_cast<size_t>(r)] = verify::make_test_catalog(
-          p, p, doms[static_cast<size_t>(r)], Rng::mix(0xABC, static_cast<uint64_t>(r)));
-    }
-    // Rank 2's catalog is empty: its thread throws on the first field lookup,
-    // and the abort must unblock every other rank's recv.
-    ranks.push_back(RankDomain{&cats[static_cast<size_t>(r)], doms[static_cast<size_t>(r)]});
-  }
+  const auto doms = launch_domains(part, 3);
+  std::vector<FieldCatalog> cats = verify::seeded_catalogs(p, doms, 0xABC);
+  // Rank 2's catalog is empty: its thread throws on the first field lookup,
+  // and the abort must unblock every other rank's recv.
+  cats[2] = FieldCatalog{};
   RuntimeOptions opt;
   opt.channel.recv_timeout_seconds = 30.0;
-  ConcurrentRuntime rt(p, halo, ranks, opt);
+  ConcurrentRuntime rt(p, halo, bind_ranks(cats, doms), opt);
   EXPECT_THROW(rt.step(), Error);
 }
 

@@ -17,7 +17,6 @@
 #include "core/tune/online.hpp"
 #include "core/tune/search.hpp"
 #include "core/tune/tunedb.hpp"
-#include "core/util/rng.hpp"
 #include "core/verify/random_program.hpp"
 #include "core/verify/verify.hpp"
 #include "fv3/dyn_core.hpp"
@@ -340,20 +339,6 @@ TEST(OnlineTuner, VerifySwapsGuardAcceptsLegalRewrites) {
   EXPECT_EQ(tuner.stats().rejected, 0);
 }
 
-std::vector<exec::LaunchDomain> domains_for(const grid::Partitioner& part, int nk) {
-  std::vector<exec::LaunchDomain> doms;
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const auto info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    doms.push_back(dom);
-  }
-  return doms;
-}
-
 TEST(OnlineTuner, ConcurrentRuntimeRetunesAndSwapsBetweenSteps) {
   // Direct runtime check: with run.tune_mode = Online the runtime grows a
   // tuner, swaps improved states into every rank copy at step boundaries,
@@ -361,22 +346,12 @@ TEST(OnlineTuner, ConcurrentRuntimeRetunesAndSwapsBetweenSteps) {
   const ir::Program p = two_node_diffusion();
   const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
   const comm::HaloUpdater halo(part, 3);
-  const auto doms = domains_for(part, 3);
-
-  std::vector<FieldCatalog> cats;
-  std::vector<comm::RankDomain> ranks;
-  for (int r = 0; r < 6; ++r) {
-    cats.push_back(verify::make_test_catalog(p, p, doms[static_cast<size_t>(r)],
-                                             Rng::mix(0xABC, static_cast<uint64_t>(r))));
-  }
-  for (int r = 0; r < 6; ++r) {
-    ranks.push_back(
-        comm::RankDomain{&cats[static_cast<size_t>(r)], doms[static_cast<size_t>(r)]});
-  }
+  const auto doms = comm::launch_domains(part, 3);
+  std::vector<FieldCatalog> cats = verify::seeded_catalogs(p, doms, 0xABC);
 
   comm::RuntimeOptions opt;
   opt.run.tune_mode = exec::TuneMode::Online;
-  comm::ConcurrentRuntime rt(p, halo, ranks, opt);
+  comm::ConcurrentRuntime rt(p, halo, comm::bind_ranks(cats, doms), opt);
   EXPECT_EQ(rt.online_tuner(), nullptr);  // lazy: created on the first step
   rt.step();
   rt.step();

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <tuple>
+#include <utility>
 
 #include "core/dsl/builder.hpp"
 #include "core/ir/lint.hpp"
@@ -40,6 +43,24 @@ TEST(UlpDistance, NonFiniteHandling) {
   EXPECT_TRUE(std::isinf(ulp_distance(1.0, nan)));
   EXPECT_EQ(ulp_distance(inf, inf), 0.0);
   EXPECT_TRUE(std::isinf(ulp_distance(inf, -inf)));
+}
+
+TEST(Verify, BitwiseCompareRejectsSignedZeroAndNanPayload) {
+  // ulp_distance calls both pairs 0 ulps apart; bitwise they differ.
+  const double nan_a = std::bit_cast<double>(0x7FF8000000000001ull);
+  const double nan_b = std::bit_cast<double>(0x7FF8000000000002ull);
+  for (const auto& [want, got] : {std::pair{0.0, -0.0}, std::pair{nan_a, nan_b}}) {
+    FieldD a("f", 4, 3, 2, HaloSpec{1, 1});
+    a.fill(1.0);
+    FieldD b = a;
+    a(2, -1, 1) = want;
+    b(2, -1, 1) = got;
+    const FieldDivergence d = compare_fields_bitwise("f", a, b);
+    EXPECT_FALSE(d.ok) << want << " vs " << got;
+    EXPECT_EQ(std::tuple(d.at_i, d.at_j, d.at_k), std::tuple(2, -1, 1));
+    b(2, -1, 1) = want;
+    EXPECT_TRUE(compare_fields_bitwise("f", a, b).ok);
+  }
 }
 
 TEST(Verify, DefaultDomainsCoverEdgePlacements) {
@@ -89,7 +110,7 @@ TEST(Verify, BackendsAgreeOnFuzzedPrograms) {
   for (uint64_t i = 0; i < 25; ++i) {
     const uint64_t seed = Rng::mix(kFuzzBase, 2000 + i);
     const ir::Program p = random_program(seed);
-    const EquivalenceReport report = check_backends_agree(p);
+    const EquivalenceReport report = check_parallel_agrees(p, exec::RunOptions{});
     EXPECT_TRUE(report.equivalent) << "seed=" << seed << " " << report.first_failure();
   }
 }

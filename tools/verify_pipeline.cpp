@@ -26,24 +26,19 @@
 //
 // Exit code: 0 equivalent, 1 divergent, 2 usage/build error.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "comm/elastic.hpp"
-#include "comm/simcomm.hpp"
 #include "comm/verify_distributed.hpp"
 #include "comm/verify_elastic.hpp"
-#include "core/dsl/builder.hpp"
 #include "core/exec/engine.hpp"
 #include "core/tune/search.hpp"
-#include "core/util/rng.hpp"
 #include "core/tune/tunedb.hpp"
 #include "core/verify/pipeline.hpp"
 #include "core/verify/random_program.hpp"
@@ -51,8 +46,9 @@
 #include "ensemble/service.hpp"
 #include "ensemble/verify_ensemble.hpp"
 #include "fv3/dyn_core.hpp"
+#include "fv3/init/baroclinic.hpp"
+#include "fv3/serialization.hpp"
 #include "fv3/state.hpp"
-#include "fv3/verify_distributed.hpp"
 #include "grid/partitioner.hpp"
 
 namespace {
@@ -70,8 +66,7 @@ void usage() {
                "  --mutate N         inject a seeded defect after the passes\n"
                "  --threads N        engine team size for --compare-serial (default: OpenMP)\n"
                "  --backend NAME     executor for --compare-serial: interp, tape, openmp\n"
-               "                     (default), or jit. Also times one program execution\n"
-               "                     on every backend and reports the wall times\n"
+               "                     (default), or jit\n"
                "  --compare-serial   also run the transformed program on the parallel\n"
                "                     engine and compare bitwise vs the serial interpreter\n"
                "  --concurrent       also run through the thread-per-rank concurrent\n"
@@ -125,37 +120,6 @@ void usage() {
                "  --list-passes      print the known pass names and exit\n");
 }
 
-/// exchange(q) -> lap = 5-point laplacian of q -> out = 5-point of lap. The
-/// same shape the runtime tests use: radius-2 overlap, one scalar exchange.
-ir::Program make_diffusion_program() {
-  using dsl::E;
-  ir::Program p("diffusion");
-  p.append_state(ir::State{"hx", {ir::SNode::make_halo_exchange("hx.q", {"q"}, 3)}});
-  dsl::StencilBuilder b("diffuse");
-  auto q = b.field("q");
-  auto lap = b.field("lap");
-  auto out = b.field("out");
-  b.parallel().full().assign(lap, q(1, 0) + q(-1, 0) + q(0, 1) + q(0, -1) - E(q) * 4.0);
-  b.parallel().full().assign(
-      out, E(q) + (lap(1, 0) + lap(-1, 0) + lap(0, 1) + lap(0, -1) - E(lap) * 4.0) * 0.1);
-  p.append_state(ir::State{"compute", {ir::SNode::make_stencil("diffuse", b.build())}});
-  return p;
-}
-
-/// Vector exchange (u, v) + divergence: the rotated-component wire path.
-ir::Program make_vector_program() {
-  ir::Program p("vector");
-  p.append_state(
-      ir::State{"hx", {ir::SNode::make_halo_exchange("hx.uv", {"u", "v"}, 3, true)}});
-  dsl::StencilBuilder b("div");
-  auto u = b.field("u");
-  auto v = b.field("v");
-  auto d = b.field("d");
-  b.parallel().full().assign(d, u(1, 0) - u(-1, 0) + v(0, 1) - v(0, -1));
-  p.append_state(ir::State{"compute", {ir::SNode::make_stencil("div", b.build())}});
-  return p;
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   for (char c : s) {
@@ -167,30 +131,6 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
-}
-
-/// Best-of-3 wall time of one full program execution on `backend` (after a
-/// warm-up execution, so JIT codegen/compilation and temp-pool allocation
-/// never land in the measurement).
-double time_backend_ms(const ir::Program& prog, exec::ExecBackend backend,
-                       const exec::LaunchDomain& dom, uint64_t seed, int threads) {
-  ir::Program p = prog;
-  p.invalidate_compiled();
-  exec::RunOptions r;
-  r.num_threads = threads;
-  r.backend = backend;
-  p.set_run_options(r);
-  FieldCatalog catalog = verify::make_test_catalog(prog, prog, dom, seed);
-  p.execute(catalog, dom);
-  double best = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    p.execute(catalog, dom);
-    const std::chrono::duration<double, std::milli> dt =
-        std::chrono::steady_clock::now() - t0;
-    best = std::min(best, dt.count());
-  }
-  return best;
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -212,7 +152,6 @@ int main(int argc, char** argv) {
   bool mutate = false;
   uint64_t mutate_seed = 0;
   bool compare_serial = false;
-  bool time_backends = false;
   bool concurrent = false;
   int ranks = 6;
   int concurrent_reps = 5;
@@ -270,7 +209,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown backend '%s'\n", name.c_str());
         return 2;
       }
-      time_backends = true;
     } else if (arg == "--compare-serial") {
       compare_serial = true;
     } else if (arg == "--concurrent") {
@@ -389,48 +327,41 @@ int main(int argc, char** argv) {
   // bitwise. The pass-equivalence machinery below is not involved.
   if (chaos) {
     try {
-      std::vector<verify::FaultMode> modes;
+      verify::FaultToleranceOptions fo;
+      fo.modes.clear();
       for (const auto& name : split_csv(fault_modes_csv)) {
-        modes.push_back(verify::parse_fault_mode(name));
+        fo.modes.push_back(verify::parse_fault_mode(name));
       }
+      fo.seeds_per_mode = chaos_seeds;
+      fo.fault_seed_base = fault_seed;
+      fo.rate = fault_rate;
+      fo.steps = chaos_steps;
+      fo.data_seed = options.data_seed;
+      fo.crash_rank = crash_rank;
+      fo.crash_step = crash_step;
+      fo.recv_timeout_seconds = recv_timeout;
       verify::EquivalenceReport report;
       if (program_spec == "dycore") {
         fv3::FvConfig cfg;
         cfg.npx = 12;
         cfg.npz = 4;
         cfg.ntracers = 1;
-        fv3::DycoreChaosOptions co;
-        co.modes = modes;
-        co.seeds_per_mode = chaos_seeds;
-        co.fault_seed_base = fault_seed;
-        co.rate = fault_rate;
-        co.steps = chaos_steps;
-        co.crash_rank = crash_rank;
-        co.crash_step = crash_step;
-        co.recv_timeout_seconds = recv_timeout;
-        report = fv3::verify_resilient_dycore(cfg, ranks, co);
+        const auto model = fv3::baroclinic_model(cfg, ranks);
+        fo.checkpoint_store = [] { return std::make_unique<fv3::SavepointStore>(); };
+        report = verify::check_fault_tolerant(model->program(), model->partitioner(), cfg.npz,
+                                              /*halo_width=*/3, fo, model->rank_domains());
       } else {
         ir::Program prog("empty");
         if (program_spec == "diffusion") {
-          prog = make_diffusion_program();
+          prog = verify::make_diffusion_program();
         } else if (program_spec == "vector") {
-          prog = make_vector_program();
+          prog = verify::make_vector_program();
         } else if (program_spec.rfind("fuzz:", 0) == 0) {
           prog = verify::random_program(std::strtoull(program_spec.c_str() + 5, nullptr, 0));
         } else {
           std::fprintf(stderr, "unknown chaos program spec '%s'\n", program_spec.c_str());
           return 2;
         }
-        verify::FaultToleranceOptions fo;
-        fo.modes = modes;
-        fo.seeds_per_mode = chaos_seeds;
-        fo.fault_seed_base = fault_seed;
-        fo.rate = fault_rate;
-        fo.steps = chaos_steps;
-        fo.data_seed = options.data_seed;
-        fo.crash_rank = crash_rank;
-        fo.crash_step = crash_step;
-        fo.recv_timeout_seconds = recv_timeout;
         const grid::Partitioner part = grid::Partitioner::for_ranks(12, ranks);
         report = verify::check_fault_tolerant(prog, part, /*nk=*/4, /*halo_width=*/3, fo);
       }
@@ -490,27 +421,8 @@ int main(int argc, char** argv) {
           return 2;
         }
         const ir::Program prog = verify::make_elastic_program(1);
-        const int n = 12, nk = 4, nranks = 6, isteps = steps_set ? ensemble_steps : 8;
-        const grid::Partitioner part = grid::Partitioner::for_ranks(n, nranks);
-        std::vector<exec::LaunchDomain> doms;
-        for (int r = 0; r < part.num_ranks(); ++r) {
-          const auto info = part.info(r);
-          exec::LaunchDomain dom{info.ni, info.nj, nk};
-          dom.gi0 = info.i0;
-          dom.gj0 = info.j0;
-          dom.gni = part.n();
-          dom.gnj = part.n();
-          doms.push_back(dom);
-        }
-        auto catalogs_for = [&] {
-          std::vector<FieldCatalog> cats;
-          for (size_t r = 0; r < doms.size(); ++r) {
-            cats.push_back(
-                verify::make_test_catalog(prog, prog, doms[r], Rng::mix(options.data_seed, r)));
-          }
-          return cats;
-        };
-
+        const int n = 12, nk = 4, isteps = steps_set ? ensemble_steps : 8;
+        const grid::Partitioner part = grid::Partitioner::for_ranks(n, 6);
         comm::ElasticOptions eo;
         eo.runtime.channel.recv_timeout_seconds = recv_timeout;
         eo.runtime.imbalance.slow_rank = static_cast<int>(spec.events[0].at_step);
@@ -518,30 +430,21 @@ int main(int argc, char** argv) {
         eo.balancer.enabled = true;
         eo.balancer.trigger_ratio = 1.5;
         eo.balancer.warmup_steps = 2;
-        comm::ElasticRuntime ert(prog, nk, 3, part, catalogs_for(), eo);
+        comm::ElasticRuntime ert(
+            prog, nk, 3, part,
+            verify::seeded_catalogs(prog, comm::launch_domains(part, nk), options.data_seed), eo);
         const comm::ElasticReport ireport = ert.run(isteps);
         imbalance_json = comm::elastic_report_to_json(ireport);
         imbalance_ok = ireport.ok && ireport.rebalances >= 1;
         if (imbalance_ok) {
-          auto cats = catalogs_for();
-          std::vector<comm::RankDomain> rref;
-          for (size_t r = 0; r < cats.size(); ++r) {
-            rref.push_back(comm::RankDomain{&cats[r], doms[r]});
-          }
-          const comm::HaloUpdater halo(part, 3);
-          comm::SimComm sim(part.num_ranks());
-          for (int t = 0; t < isteps; ++t) comm::run_lockstep_step(prog, halo, rref, sim);
-          for (const auto& name : cats[0].names()) {
-            const auto want = comm::assemble_owned(part, rref, name);
-            const auto got = ert.assemble(name);
-            if (want.size() != got.size()) imbalance_ok = false;
-            for (size_t i = 0; imbalance_ok && i < want.size(); ++i) {
-              if (verify::ulp_distance(want[i], got[i]) != 0.0) imbalance_ok = false;
-            }
-            if (!imbalance_ok) {
-              std::fprintf(stderr, "imbalance run diverged on field '%s'\n", name.c_str());
-              break;
-            }
+          const FieldCatalog ref =
+              verify::lockstep_owned(prog, part, nk, 3, options.data_seed, isteps);
+          const verify::DomainResult dr =
+              verify::compare_owned(ref, ert.partitioner(), ert.rank_domains());
+          if (!dr.ok) {
+            imbalance_ok = false;
+            std::fprintf(stderr, "imbalance run diverged on field '%s'\n",
+                         dr.fields[0].field.c_str());
           }
         }
       }
@@ -674,22 +577,6 @@ int main(int argc, char** argv) {
     out << "  \"backend\": \"" << exec::backend_name(run.backend) << "\",\n"
         << "  \"threads\": " << exec::resolved_num_threads(run) << ",\n"
         << "  \"parallel_report\": " << verify::report_to_json(preport) << ",\n";
-  }
-
-  // Per-backend wall time of one full execution on the pass placement.
-  if (time_backends) {
-    const ir::Program subject = verify::without_callbacks(transformed);
-    out << "  \"backend_times_ms\": {";
-    bool first = true;
-    for (const exec::ExecBackend be :
-         {exec::ExecBackend::Interpreter, exec::ExecBackend::Tape, exec::ExecBackend::OpenMP,
-          exec::ExecBackend::Jit}) {
-      const double ms =
-          time_backend_ms(subject, be, pass_dom, options.data_seed, run.num_threads);
-      out << (first ? "" : ", ") << "\"" << exec::backend_name(be) << "\": " << ms;
-      first = false;
-    }
-    out << "},\n";
   }
 
   // Optional concurrent-runtime-vs-lockstep check on a rank decomposition.
