@@ -1,6 +1,6 @@
 #pragma once
 
-#include <map>
+#include <span>
 #include <vector>
 
 #include "comm/simcomm.hpp"
@@ -20,10 +20,11 @@ void fill_corners(FieldD& f, int width, CornerFill dir);
 
 /// Recycles pack/unpack staging buffers so steady-state exchanges allocate
 /// nothing: a rank's sends draw from its pool, and every received buffer is
-/// returned to it after unpacking. In the thread-per-rank runtime each pool
-/// is touched only by its own rank's thread (sends and recvs of rank r both
-/// happen on r's thread), so no locking is needed; buffer handoff between
-/// ranks synchronizes through the channel.
+/// returned to it after unpacking. A pool is only ever touched by one thread
+/// at a time: rank r's own thread in the thread-per-rank runtime, the
+/// calling thread in the lockstep scheduler (which stages and releases
+/// serially and only packs and unpacks in parallel). No locking is needed;
+/// buffer handoff between ranks synchronizes through the channel.
 class BufferPool {
  public:
   /// An empty buffer with whatever capacity a previous exchange left behind.
@@ -65,15 +66,18 @@ class BufferPool {
 
 /// Cubed-sphere halo updater: precomputes, per destination rank, the source
 /// rank/cell of every halo cell (with cross-edge index rotation) and the
-/// vector component transform. Exchanges run through a Comm as nonblocking
-/// sends followed by receives, exactly like the paper's halo updater object
-/// (Sec. IV-C).
+/// vector component transform, compiled into runs (see HaloRun). Exchanges
+/// run through a Comm as nonblocking sends followed by receives, exactly
+/// like the paper's halo updater object (Sec. IV-C).
 ///
-/// Every exchange is built from the per-rank split-phase primitives below
-/// (`start_*_rank` / `finish_*_rank`): the lockstep collectives loop them
-/// over all ranks, and the concurrent runtime calls them from each rank's
-/// own thread. One packing code path means the two schedulers are bitwise
-/// identical by construction.
+/// Every exchange is built from one per-rank pipeline: stage → pack → post
+/// on the sending side, receive → unpack → release on the receiving side.
+/// `start_rank` / `finish_rank` run that pipeline end to end on one thread:
+/// the collectives below loop them over all ranks, and the concurrent
+/// runtime calls them from each rank's own thread. The lockstep halo node
+/// (runtime.cpp) runs the same stages phase by phase over all ranks,
+/// packing and unpacking ranks in parallel. One packing code path means the
+/// schedulers are bitwise identical by construction.
 class HaloUpdater {
  public:
   HaloUpdater(const grid::Partitioner& part, int width);
@@ -105,14 +109,55 @@ class HaloUpdater {
   /// exchanged stay untouched, so results are decomposition-independent.
   void fill_cube_corners(const std::vector<FieldD*>& fields, CornerFill dir) const;
 
-  // --- Per-rank split-phase primitives (the concurrent runtime's entry
-  // points; must only be called from rank `rank`'s thread). Scalars travel
-  // coalesced: one message per neighbor carries every field of the list.
-  void start_scalars_rank(int rank, const std::vector<const FieldD*>& fields, Comm& comm) const;
-  void finish_scalars_rank(int rank, const std::vector<FieldD*>& fields, Comm& comm) const;
-  void start_vector_rank(int rank, const FieldD& u, const FieldD& v, Comm& comm) const;
-  void finish_vector_rank(int rank, FieldD& u, FieldD& v, Comm& comm) const;
+  /// fill_cube_corners for rank `rank`'s field alone. Does not throw for a
+  /// field that passed stage() or receive().
   void fill_cube_corners_rank(int rank, FieldD& f, CornerFill dir) const;
+
+  // --- One rank's side of one exchange. A scalar exchange copies every
+  // field of its list (one coalesced message per neighbor); a vector
+  // exchange carries one (u, v) pair and rotates it across tile edges. The
+  // wire order is field, k, run, cell (a vector exchange sends all of u,
+  // then all of v).
+  enum class Kind { Scalar, Vector };
+
+  /// Split-phase primitives: stage, pack and post (`start_rank`), then
+  /// receive, unpack and release (`finish_rank`), on the calling thread.
+  /// Must only be called from the thread that owns rank `rank`'s pool.
+  void start_rank(int rank, Kind kind, std::span<const FieldD* const> fields, Comm& comm) const;
+  void finish_rank(int rank, Kind kind, std::span<FieldD* const> fields, Comm& comm) const;
+
+  /// One rank's messages of one exchange: a buffer per neighbor, in plan
+  /// order (ascending neighbor rank).
+  struct Messages {
+    Kind kind = Kind::Scalar;
+    size_t values = 0;  ///< total payload of all buffers
+    std::vector<std::vector<double>> bufs;
+  };
+
+  /// Check the fields (see check_fields) and acquire rank's outgoing
+  /// buffers from its pool, each with room for its whole payload. Runs on
+  /// the thread that owns rank's pool.
+  [[nodiscard]] Messages stage(int rank, Kind kind, std::span<const FieldD* const> fields) const;
+  /// Write the payload of the staged fields. Neither allocates nor throws,
+  /// so different ranks may pack in parallel.
+  void pack(int rank, std::span<const FieldD* const> fields, Messages& out) const;
+  /// Send the packed buffers (ownership passes to the comm).
+  void post(int rank, Messages& out, Comm& comm) const;
+  /// Check the fields and receive rank's incoming messages of one exchange,
+  /// in plan order, each checked to hold exactly the fields' payload.
+  [[nodiscard]] Messages receive(int rank, Kind kind, std::span<const FieldD* const> fields,
+                                 Comm& comm) const;
+  /// Write received payloads into the halos of the fields they were
+  /// received for. Neither allocates nor throws, so different ranks may
+  /// unpack in parallel.
+  void unpack(int rank, std::span<FieldD* const> fields, const Messages& in) const;
+  /// Return received buffers to rank's pool.
+  void release(int rank, Messages& in) const;
+
+  /// OpenMP team the lockstep halo node packs and unpacks ranks with (1 =
+  /// serial, the default). Models set it from their run options.
+  void set_num_threads(int n) { num_threads_ = n > 0 ? n : 1; }
+  [[nodiscard]] int num_threads() const { return num_threads_; }
 
   /// Staging-buffer reuse (on by default). Off allocates a fresh vector per
   /// message — the pre-pool behavior, kept so the weak-scaling bench can
@@ -145,10 +190,22 @@ class HaloUpdater {
   [[nodiscard]] long cells_sent_per_rank(int rank) const;
 
  private:
-  struct HaloCell {
-    int li, lj;       ///< destination-local halo cell
-    int src_li, src_lj;  ///< source-rank-local cell
-    double m[4];      ///< vector transform (identity for same-tile)
+  /// A row of destination halo cells (li + c, lj), c in [0, len), fed by
+  /// source cells (src_li + c * src_di, src_lj + c * src_dj) on one
+  /// neighbor, all under one vector transform. The face orientation is
+  /// resolved once per run instead of once per cell.
+  struct HaloRun {
+    int li, lj;
+    int src_li, src_lj;
+    int src_di, src_dj;
+    int len;
+    double m[4];  ///< vector transform (identity for same-tile)
+  };
+  /// The runs exchanged with one neighbor, in wire order.
+  struct Peer {
+    int rank;
+    size_t cells = 0;  ///< sum of run lengths
+    std::vector<HaloRun> runs;
   };
   struct CornerCell {
     int li, lj;
@@ -158,19 +215,24 @@ class HaloUpdater {
   /// Per-rank cube-corner diagonal cells (no owner; filled by convention).
   std::vector<std::vector<CornerCell>> corners_;
 
-  /// recv_plan_[dst][src] = halo cells dst receives from src.
-  std::vector<std::map<int, std::vector<HaloCell>>> recv_plan_;
-  /// send_plan_[src][dst] = same cells, indexed from the sender side.
-  std::vector<std::map<int, std::vector<HaloCell>>> send_plan_;
+  /// recv_plan_[dst] = the neighbors dst receives from, ascending.
+  std::vector<std::vector<Peer>> recv_plan_;
+  /// send_plan_[src] = the same runs, indexed from the sender side.
+  std::vector<std::vector<Peer>> send_plan_;
+
+  /// Structured error unless every field has rank `rank`'s (ni, nj), a
+  /// halo of at least width(), and (vector) u and v share one shape. Pack
+  /// and unpack address memory through raw strides, so this guard stands
+  /// in for per-element bounds checks.
+  void check_fields(int rank, Kind kind, std::span<const FieldD* const> fields) const;
 
   grid::Partitioner part_;
+  std::vector<grid::RankInfo> infos_;
   int width_;
+  int num_threads_ = 1;
   bool pooling_ = true;
-  /// pools_[r] is touched only by rank r's thread (see BufferPool).
+  /// pools_[r] is touched by one thread at a time (see BufferPool).
   mutable std::vector<BufferPool> pools_;
-
-  std::vector<double> acquire_buffer(int rank) const;
-  void release_buffer(int rank, std::vector<double>&& buf) const;
 };
 
 }  // namespace cyclone::comm

@@ -19,18 +19,20 @@ bool is_halo_only(const ir::State& st) {
          });
 }
 
+exec::LaunchDomain launch_domain(const grid::Partitioner& part, int rank, int nk) {
+  const grid::RankInfo info = part.info(rank);
+  exec::LaunchDomain dom{info.ni, info.nj, nk};
+  dom.gi0 = info.i0;
+  dom.gj0 = info.j0;
+  dom.gni = part.n();
+  dom.gnj = part.n();
+  return dom;
+}
+
 std::vector<exec::LaunchDomain> launch_domains(const grid::Partitioner& part, int nk) {
   std::vector<exec::LaunchDomain> doms;
   doms.reserve(static_cast<size_t>(part.num_ranks()));
-  for (int r = 0; r < part.num_ranks(); ++r) {
-    const grid::RankInfo info = part.info(r);
-    exec::LaunchDomain dom{info.ni, info.nj, nk};
-    dom.gi0 = info.i0;
-    dom.gj0 = info.j0;
-    dom.gni = part.n();
-    dom.gnj = part.n();
-    doms.push_back(dom);
-  }
+  for (int r = 0; r < part.num_ranks(); ++r) doms.push_back(launch_domain(part, r, nk));
   return doms;
 }
 
@@ -45,58 +47,168 @@ std::vector<RankDomain> bind_ranks(std::vector<FieldCatalog>& cats,
 
 namespace {
 
-/// Post rank `rank`'s sends for one halo-exchange node (pack included, so
-/// the source cells may be overwritten as soon as this returns).
+/// Below this many values moved by one lockstep halo node (summed over all
+/// its sides: every rank of a model, or every (member, rank) of a batch),
+/// packing and unpacking stay on the calling thread. The fork costs a fixed
+/// team wake-up per node while the work it splits grows with the node, so
+/// the rule is on the node's total. Measured on a 4-vCPU Xeon, team 3
+/// against serial, serial and forked runs alternating on the same nodes:
+/// 1.7k values (one SWE c12 member, 6 sides) 0.92-1.0x; 3.5k-5.2k (2-3
+/// SWE members) 0.92-0.94x;
+/// 6.9k-14k (one dycore c12z8 member, or 4-8 SWE members) 0.68-0.94x;
+/// 20k-330k (batched c12z8, dycore c24r24) 0.40-0.65x.
+constexpr size_t kHaloForkValues = 4096;
+
+/// One rank's side of one halo-exchange node: the node's fields in the
+/// rank's catalog and, while the node is in flight, its messages. A vector
+/// node makes one exchange per (u, v) pair, a scalar node one coalesced
+/// exchange of all its fields; every exchange is followed by its
+/// cube-corner fills. The concurrent runtime runs a side with start() and
+/// finish() on the rank's own thread (HaloUpdater::start_rank/finish_rank
+/// per exchange); the lockstep node runs it phase by phase over all sides
+/// with the same HaloUpdater stages. Pack and unpack never throw, so they
+/// may run inside a parallel region; everything that can fail runs in the
+/// serial phases.
+class NodeSide {
+ public:
+  NodeSide(const HaloUpdater& halo, const ir::SNode& node, RankDomain& rd, int rank, Comm& comm)
+      : halo_(&halo), rank_(rank), comm_(&comm),
+        kind_(node.halo_vector ? HaloUpdater::Kind::Vector : HaloUpdater::Kind::Scalar) {
+    CY_REQUIRE_MSG(!node.halo_vector || node.halo_fields.size() % 2 == 0,
+                   "vector halo exchange needs (u, v) pairs");
+    fields_.reserve(node.halo_fields.size());
+    for (const auto& name : node.halo_fields) fields_.push_back(&rd.catalog->at(name));
+  }
+
+  // --- Concurrent runtime: post the sends (pack included, so the source
+  // cells may be overwritten as soon as start() returns); receive, unpack
+  // and corner-fill (blocks under ConcurrentComm until the neighbors'
+  // messages arrive).
+  void start() {
+    for (size_t e = 0; e < exchanges(); ++e) halo_->start_rank(rank_, kind_, fields(e), *comm_);
+  }
+  void finish() {
+    for (size_t e = 0; e < exchanges(); ++e) {
+      halo_->finish_rank(rank_, kind_, fields(e), *comm_);
+      fill_corners(e);
+    }
+  }
+
+  // --- Lockstep phases.
+  void stage() {
+    msgs_.clear();
+    for (size_t e = 0; e < exchanges(); ++e) msgs_.push_back(halo_->stage(rank_, kind_, fields(e)));
+  }
+  void pack() {
+    for (size_t e = 0; e < exchanges(); ++e) halo_->pack(rank_, fields(e), msgs_[e]);
+  }
+  void post() {
+    for (auto& m : msgs_) halo_->post(rank_, m, *comm_);
+  }
+  void receive() {
+    msgs_.clear();
+    for (size_t e = 0; e < exchanges(); ++e) {
+      msgs_.push_back(halo_->receive(rank_, kind_, fields(e), *comm_));
+    }
+  }
+  void unpack() {
+    for (size_t e = 0; e < exchanges(); ++e) {
+      halo_->unpack(rank_, fields(e), msgs_[e]);
+      fill_corners(e);
+    }
+  }
+  void release() {
+    for (auto& m : msgs_) halo_->release(rank_, m);
+  }
+
+  /// Values the staged messages carry.
+  [[nodiscard]] size_t values() const {
+    size_t n = 0;
+    for (const auto& m : msgs_) n += m.values;
+    return n;
+  }
+
+ private:
+  [[nodiscard]] size_t exchanges() const {
+    return kind_ == HaloUpdater::Kind::Vector ? fields_.size() / 2 : 1;
+  }
+  [[nodiscard]] std::span<FieldD* const> fields(size_t e) const {
+    if (kind_ == HaloUpdater::Kind::Scalar) return fields_;
+    return std::span<FieldD* const>(fields_).subspan(2 * e, 2);
+  }
+  /// Cube corners of exchange e: u from the i-edge halos and v from the
+  /// j-edge halos of a vector pair, every scalar field from its i-edges.
+  void fill_corners(size_t e) {
+    if (kind_ == HaloUpdater::Kind::Vector) {
+      halo_->fill_cube_corners_rank(rank_, *fields_[2 * e], CornerFill::XDir);
+      halo_->fill_cube_corners_rank(rank_, *fields_[2 * e + 1], CornerFill::YDir);
+      return;
+    }
+    for (FieldD* f : fields_) halo_->fill_cube_corners_rank(rank_, *f, CornerFill::XDir);
+  }
+
+  const HaloUpdater* halo_;
+  int rank_;
+  Comm* comm_;
+  HaloUpdater::Kind kind_;
+  std::vector<FieldD*> fields_;
+  std::vector<HaloUpdater::Messages> msgs_;
+};
+
+/// Post rank `rank`'s sends for one halo-exchange node.
 void start_halo_node_rank(const HaloUpdater& halo, const ir::SNode& node, RankDomain& rd,
                           int rank, Comm& comm) {
-  if (node.halo_vector) {
-    CY_REQUIRE_MSG(node.halo_fields.size() % 2 == 0, "vector halo exchange needs (u, v) pairs");
-    for (size_t p = 0; p < node.halo_fields.size(); p += 2) {
-      halo.start_vector_rank(rank, rd.catalog->at(node.halo_fields[p]),
-                             rd.catalog->at(node.halo_fields[p + 1]), comm);
-    }
-    return;
-  }
-  std::vector<const FieldD*> fields;
-  fields.reserve(node.halo_fields.size());
-  for (const auto& name : node.halo_fields) fields.push_back(&rd.catalog->at(name));
-  halo.start_scalars_rank(rank, fields, comm);
+  NodeSide(halo, node, rd, rank, comm).start();
 }
 
 /// Receive, unpack and corner-fill rank `rank`'s side of one halo-exchange
-/// node. Blocks (under ConcurrentComm) until the neighbors' messages arrive.
+/// node.
 void finish_halo_node_rank(const HaloUpdater& halo, const ir::SNode& node, RankDomain& rd,
                            int rank, Comm& comm) {
-  if (node.halo_vector) {
-    for (size_t p = 0; p < node.halo_fields.size(); p += 2) {
-      FieldD& u = rd.catalog->at(node.halo_fields[p]);
-      FieldD& v = rd.catalog->at(node.halo_fields[p + 1]);
-      halo.finish_vector_rank(rank, u, v, comm);
-      halo.fill_cube_corners_rank(rank, u, CornerFill::XDir);
-      halo.fill_cube_corners_rank(rank, v, CornerFill::YDir);
-    }
-    return;
+  NodeSide(halo, node, rd, rank, comm).finish();
+}
+
+/// One lockstep halo node over many rank sides (every rank of one model, or
+/// every (member, rank) of a batch), in four phases: pack every side in
+/// parallel; post all sends serially in side order (SimComm is not
+/// thread-safe, and the order keeps each channel's FIFO sequence and the
+/// fault decisions keyed on it); receive serially; unpack and corner-fill in
+/// parallel. A side writes only its own rank's fields and buffers, so the
+/// result is bitwise independent of the team size. Buffers are staged and
+/// released on the calling thread, so workers never allocate. The team
+/// forks only when the node moves at least kHaloForkValues values.
+void exchange_sides(std::vector<NodeSide>& sides, int threads) {
+  size_t values = 0;
+  for (auto& side : sides) {
+    side.stage();
+    values += side.values();
   }
-  std::vector<FieldD*> fields;
-  fields.reserve(node.halo_fields.size());
-  for (const auto& name : node.halo_fields) fields.push_back(&rd.catalog->at(name));
-  halo.finish_scalars_rank(rank, fields, comm);
-  for (FieldD* f : fields) halo.fill_cube_corners_rank(rank, *f, CornerFill::XDir);
+  const long n = static_cast<long>(sides.size());
+  const bool fork = threads > 1 && values >= kHaloForkValues;
+#pragma omp parallel for num_threads(threads) if (fork) schedule(dynamic)
+  for (long i = 0; i < n; ++i) sides[static_cast<size_t>(i)].pack();
+  for (auto& side : sides) side.post();
+  for (auto& side : sides) side.receive();
+#pragma omp parallel for num_threads(threads) if (fork) schedule(dynamic)
+  for (long i = 0; i < n; ++i) sides[static_cast<size_t>(i)].unpack();
+  for (auto& side : sides) side.release();
+}
+
+/// Append one side of halo node `node` per rank of `ranks`, in rank order.
+void add_sides(std::vector<NodeSide>& sides, const HaloUpdater& halo, const ir::SNode& node,
+               std::vector<RankDomain>& ranks, Comm& comm) {
+  for (size_t r = 0; r < ranks.size(); ++r) {
+    sides.emplace_back(halo, node, ranks[r], static_cast<int>(r), comm);
+  }
 }
 
 }  // namespace
 
 void run_halo_node(const HaloUpdater& halo, const ir::SNode& node,
                    std::vector<RankDomain>& ranks, Comm& comm) {
-  // The collective form is just the per-rank primitives looped over ranks:
-  // one packing code path keeps the lockstep and concurrent schedulers
-  // bitwise identical by construction.
-  for (size_t r = 0; r < ranks.size(); ++r) {
-    start_halo_node_rank(halo, node, ranks[r], static_cast<int>(r), comm);
-  }
-  for (size_t r = 0; r < ranks.size(); ++r) {
-    finish_halo_node_rank(halo, node, ranks[r], static_cast<int>(r), comm);
-  }
+  std::vector<NodeSide> sides;
+  add_sides(sides, halo, node, ranks, comm);
+  exchange_sides(sides, halo.num_threads());
 }
 
 void run_lockstep_step(const ir::Program& program, const HaloUpdater& halo,
@@ -124,8 +236,13 @@ void run_lockstep_step(std::span<const ir::Program* const> programs,
   for (int sidx : lead.flatten_execution_order()) {
     const ir::State& st = lead.states()[static_cast<size_t>(sidx)];
     if (is_halo_only(st)) {
-      for (size_t m = 0; m < n; ++m) {
-        for (const auto& node : st.nodes) run_halo_node(*halos[m], node, *ranks[m], *comms[m]);
+      // One exchange per node over every (instance, rank) side: each
+      // instance's comm still sees its ranks' sends and receives in the
+      // order of its solo pass.
+      for (const auto& node : st.nodes) {
+        std::vector<NodeSide> sides;
+        for (size_t m = 0; m < n; ++m) add_sides(sides, *halos[m], node, *ranks[m], *comms[m]);
+        exchange_sides(sides, halos[0]->num_threads());
       }
       continue;
     }

@@ -24,8 +24,11 @@ struct RankDomain {
   exec::LaunchDomain dom;
 };
 
-/// The launch domain of every rank of `part` (rank order): each rank's
-/// owned block with `nk` levels, placed on its tile of the global grid.
+/// The launch domain of rank `rank` of `part`: its owned block with `nk`
+/// levels, placed on its tile of the global grid.
+exec::LaunchDomain launch_domain(const grid::Partitioner& part, int rank, int nk);
+
+/// launch_domain of every rank of `part`, in rank order.
 std::vector<exec::LaunchDomain> launch_domains(const grid::Partitioner& part, int nk);
 
 /// Pair rank r's catalog with its domain, for every rank of `doms`.
@@ -153,18 +156,24 @@ void run_lockstep_step(const ir::Program& program, const HaloUpdater& halo,
 /// program (the ensemble runtime's batched member sweep). Instance m is
 /// (programs[m], halos[m], ranks[m], comms[m]); the state order comes from
 /// programs[0], and the instance loop is folded inside every phase: each
-/// compute state runs instance by instance over its ranks, each halo-only
-/// state exchanges instance by instance. Every instance executes the same
-/// states in the same order as its solo pass, so each result is bitwise
-/// equal to a solo run by construction. Programs must be per-instance
-/// copies: executor caches and JIT handles are not shared.
+/// compute state runs instance by instance over its ranks, and each halo
+/// node is one exchange over every (instance, rank) pair, packed and
+/// unpacked on halos[0]'s team. Every instance executes the same states in
+/// the same order as its solo pass, and its comm sees its sends and
+/// receives in the same order, so each result is bitwise equal to a solo
+/// run by construction. Programs must be per-instance copies: executor
+/// caches and JIT handles are not shared.
 void run_lockstep_step(std::span<const ir::Program* const> programs,
                        std::span<const HaloUpdater* const> halos,
                        std::span<std::vector<RankDomain>* const> ranks,
                        std::span<Comm* const> comms);
 
 /// Run a single halo-exchange node collectively over all ranks (exchange +
-/// cube-corner fills), exactly as the lockstep scheduler does.
+/// cube-corner fills), exactly as the lockstep scheduler does: every rank
+/// packed, sends posted in rank order, receives taken, every rank unpacked.
+/// Packing and unpacking run on halo.num_threads() threads when the node
+/// moves enough values to pay for the fork; the result is bitwise the same
+/// at any team size.
 void run_halo_node(const HaloUpdater& halo, const ir::SNode& node,
                    std::vector<RankDomain>& ranks, Comm& comm);
 

@@ -60,6 +60,7 @@ FieldDivergence compare_fields_bitwise(const std::string& label, const FieldD& a
       }
     }
   }
+  d.bits_only = !d.ok && d.max_ulps == 0.0;
   return d;
 }
 
@@ -413,8 +414,13 @@ std::string EquivalenceReport::first_failure() const {
     }
     for (const auto& f : dr.fields) {
       if (f.ok) continue;
-      os << ": field '" << f.field << "' diverges by " << f.max_abs << " (" << f.max_ulps
-         << " ulps) at (" << f.at_i << "," << f.at_j << "," << f.at_k << ")";
+      os << ": field '" << f.field << "' ";
+      if (f.bits_only) {
+        os << "differs in bit pattern only (signed zero or NaN payload, 0 ulps)";
+      } else {
+        os << "diverges by " << f.max_abs << " (" << f.max_ulps << " ulps)";
+      }
+      os << " at (" << f.at_i << "," << f.at_j << "," << f.at_k << ")";
       return os.str();
     }
   }
@@ -594,6 +600,7 @@ std::string report_to_json(const EquivalenceReport& report) {
       json_number(os, fd.max_abs);
       os << ",\"max_ulps\":";
       json_number(os, fd.max_ulps);
+      if (fd.bits_only) os << ",\"bits_only\":true";
       os << "}";
     }
     os << "]}";

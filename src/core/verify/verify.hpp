@@ -46,6 +46,9 @@ struct FieldDivergence {
   double max_ulps = 0.0;
   int at_i = 0, at_j = 0, at_k = 0;  ///< location of the worst point
   bool ok = true;
+  /// Failed on bit patterns alone: every differing cell is numerically
+  /// equal (+0 vs -0, or NaNs with different payloads), so max_ulps is 0.
+  bool bits_only = false;
 };
 
 /// Result of one (domain, trial) comparison.
@@ -87,7 +90,8 @@ double ulp_distance(double a, double b);
 /// halos included. Used by the distributed runtime checks, where halo cells
 /// are observable state (the exchange writes them) and the contract is exact
 /// equality: ok iff every cell has the same bit pattern, so a +0/-0 or NaN
-/// payload difference fails. The reported location is the first cell at the
+/// payload difference fails (flagged `bits_only` when no cell differs by a
+/// nonzero ulp distance). The reported location is the first cell at the
 /// largest ulp_distance among the differing ones.
 FieldDivergence compare_fields_bitwise(const std::string& label, const FieldD& a,
                                        const FieldD& b);

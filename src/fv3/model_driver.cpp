@@ -1,5 +1,6 @@
 #include "fv3/model_driver.hpp"
 
+#include "core/exec/engine.hpp"
 #include "fv3/serialization.hpp"
 
 namespace cyclone::fv3 {
@@ -11,6 +12,8 @@ ModelDriver::ModelDriver(int npx, int num_ranks)
 
 void ModelDriver::set_run_options(const exec::RunOptions& run) {
   program_.set_run_options(run);
+  // Lockstep halo nodes pack and unpack ranks on the compute team's size.
+  halo_.set_num_threads(exec::resolved_num_threads(run));
   runtime_.reset();  // per-rank program copies carry stale options
 }
 

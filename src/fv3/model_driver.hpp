@@ -48,10 +48,11 @@ class ModelDriver {
   [[nodiscard]] std::vector<comm::RankDomain>& rank_domains() { return ranks_; }
 
   /// Engine options (backend, thread count) used by every compute state.
-  /// Halo exchanges are unaffected; the Interpreter backend ignores the
-  /// thread options (it stays the serial oracle). In Concurrent mode these
-  /// also seed the per-rank programs (threads_per_rank caps each rank's
-  /// OpenMP team).
+  /// The Interpreter backend ignores the thread options (it stays the
+  /// serial oracle). The resolved team size also packs and unpacks the
+  /// ranks of a lockstep halo exchange in parallel (bitwise the same at any
+  /// size). In Concurrent mode these also seed the per-rank programs
+  /// (threads_per_rank caps each rank's OpenMP team).
   void set_run_options(const exec::RunOptions& run);
   [[nodiscard]] const exec::RunOptions& run_options() const { return program_.run_options(); }
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "comm/runtime.hpp"
+
 namespace cyclone::fv3 {
 
 namespace {
@@ -25,13 +27,7 @@ ModelState::ModelState(const FvConfig& config, const grid::Partitioner& part, in
   config_.validate();
   catalog_.set_placer(std::move(placer));
   const grid::RankInfo& info = geom_.rank_info;
-  domain_.ni = info.ni;
-  domain_.nj = info.nj;
-  domain_.nk = config_.npz;
-  domain_.gi0 = info.i0;
-  domain_.gj0 = info.j0;
-  domain_.gni = part.n();
-  domain_.gnj = part.n();
+  domain_ = comm::launch_domain(part, rank, config_.npz);
 
   const int ni = info.ni, nj = info.nj, nk = config_.npz;
   const HaloSpec hs{kHalo, kHalo};

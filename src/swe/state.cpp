@@ -1,5 +1,7 @@
 #include "swe/state.hpp"
 
+#include "comm/runtime.hpp"
+
 namespace cyclone::swe {
 
 namespace {
@@ -23,13 +25,7 @@ SweState::SweState(const SweConfig& config, const grid::Partitioner& part, int r
   config_.validate();
   catalog_.set_placer(std::move(placer));
   const grid::RankInfo& info = geom_.rank_info;
-  domain_.ni = info.ni;
-  domain_.nj = info.nj;
-  domain_.nk = 1;
-  domain_.gi0 = info.i0;
-  domain_.gj0 = info.j0;
-  domain_.gni = part.n();
-  domain_.gnj = part.n();
+  domain_ = comm::launch_domain(part, rank, 1);
 
   const HaloSpec hs{kHalo, kHalo};
   const FieldShape p2d(info.ni, info.nj, 1, hs);

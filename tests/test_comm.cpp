@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <thread>
 
 #include "comm/channel.hpp"
 #include "comm/halo.hpp"
+#include "comm/runtime.hpp"
 #include "core/util/rng.hpp"
 #include "grid/geometry.hpp"
 
@@ -285,6 +287,276 @@ TEST(HaloUpdater, ExchangePreservesInterior) {
   }
 }
 
+// ---- Run-compiled plans against a per-cell reference ----------------------
+
+/// Seeded values over every stored cell, halos included, with signed zeros
+/// and NaNs of distinct payloads mixed in: a copy that normalizes either
+/// (or a transform that skips the arithmetic) changes bits.
+void fill_tricky(FieldD& f, uint64_t seed) {
+  Rng rng(seed);
+  const FieldShape& s = f.shape();
+  for (int k = 0; k < s.nk(); ++k) {
+    for (int j = -s.halo().j; j < s.nj() + s.halo().j; ++j) {
+      for (int i = -s.halo().i; i < s.ni() + s.halo().i; ++i) {
+        const uint64_t pick = rng.next_below(16);
+        double v = rng.uniform(-2.0, 2.0);
+        if (pick == 0) v = -0.0;
+        if (pick == 1) v = 0.0;
+        if (pick == 2) v = std::bit_cast<double>(0x7FF8000000000000ull | rng.next_below(1u << 20));
+        f(i, j, k) = v;
+      }
+    }
+  }
+}
+
+/// Bit-for-bit equality of two same-shaped fields over every stored cell.
+::testing::AssertionResult same_bits(const FieldD& a, const FieldD& b) {
+  const FieldShape& s = a.shape();
+  for (int k = 0; k < s.nk(); ++k) {
+    for (int j = -s.halo().j; j < s.nj() + s.halo().j; ++j) {
+      for (int i = -s.halo().i; i < s.ni() + s.halo().i; ++i) {
+        if (std::bit_cast<uint64_t>(a(i, j, k)) != std::bit_cast<uint64_t>(b(i, j, k))) {
+          return ::testing::AssertionFailure()
+                 << a.name() << " differs at (" << i << "," << j << "," << k << "): " << a(i, j, k)
+                 << " vs " << b(i, j, k);
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Per-rank fields of one shape, allocated per layout.
+std::vector<std::unique_ptr<FieldD>> rank_fields(const grid::Partitioner& part, int nk, int halo,
+                                                 Layout layout, const std::string& name,
+                                                 uint64_t seed) {
+  std::vector<std::unique_ptr<FieldD>> out;
+  for (int r = 0; r < part.num_ranks(); ++r) {
+    const auto info = part.info(r);
+    out.push_back(std::make_unique<FieldD>(
+        name, FieldShape(info.ni, info.nj, nk, HaloSpec{halo, halo}, layout)));
+    fill_tricky(*out.back(), Rng::mix(seed, static_cast<uint64_t>(r)));
+  }
+  return out;
+}
+
+std::vector<FieldD*> ptrs_of(const std::vector<std::unique_ptr<FieldD>>& fields) {
+  std::vector<FieldD*> out;
+  for (const auto& f : fields) out.push_back(f.get());
+  return out;
+}
+
+TEST(HaloUpdater, RunPlanMatchesPerCellReference) {
+  // The exchange through run-compiled plans must write exactly what a
+  // naive per-cell walk derives from Partitioner::resolve and
+  // halo_vector_transform, bit for bit, and touch nothing else: every
+  // layout, widths 1-3, 6/24/54 ranks, 2-D and 17-level fields.
+  const Layout layouts[] = {Layout::KJI, Layout::IJK, Layout::KIJ,
+                            Layout::JIK, Layout::IKJ, Layout::JKI};
+  uint64_t seed = 0x4A10;
+  for (const int nranks : {6, 24, 54}) {
+    const grid::Partitioner part = grid::Partitioner::for_ranks(12, nranks);
+    for (const int width : {1, 2, 3}) {
+      const HaloUpdater updater(part, width);
+      for (const Layout layout : layouts) {
+        for (const int nk : {1, 17}) {
+          SCOPED_TRACE(::testing::Message() << nranks << " ranks, width " << width << ", layout "
+                                            << static_cast<int>(layout) << ", nk " << nk);
+          ++seed;
+          auto q = rank_fields(part, nk, width, layout, "q", Rng::mix(seed, 0));
+          auto u = rank_fields(part, nk, width, layout, "u", Rng::mix(seed, 1));
+          auto v = rank_fields(part, nk, width, layout, "v", Rng::mix(seed, 2));
+          // The expected state starts as a copy: cells the exchange must not
+          // touch keep their values.
+          std::vector<FieldD> want_q, want_u, want_v;
+          for (int r = 0; r < nranks; ++r) {
+            want_q.push_back(*q[static_cast<size_t>(r)]);
+            want_u.push_back(*u[static_cast<size_t>(r)]);
+            want_v.push_back(*v[static_cast<size_t>(r)]);
+          }
+          for (int r = 0; r < nranks; ++r) {
+            const auto info = part.info(r);
+            for (int lj = -width; lj < info.nj + width; ++lj) {
+              for (int li = -width; li < info.ni + width; ++li) {
+                if (li >= 0 && li < info.ni && lj >= 0 && lj < info.nj) continue;
+                const auto res = part.resolve(r, li, lj);
+                if (!res || res->rank == r) continue;
+                std::array<double, 4> m = {1, 0, 0, 1};
+                if (res->tile != info.tile) {
+                  m = grid::halo_vector_transform(info.tile, info.i0 + li, info.j0 + lj, part.n());
+                }
+                const auto src = static_cast<size_t>(res->rank);
+                for (int k = 0; k < nk; ++k) {
+                  want_q[static_cast<size_t>(r)](li, lj, k) = (*q[src])(res->li, res->lj, k);
+                  const double us = (*u[src])(res->li, res->lj, k);
+                  const double vs = (*v[src])(res->li, res->lj, k);
+                  want_u[static_cast<size_t>(r)](li, lj, k) = m[0] * us + m[1] * vs;
+                  want_v[static_cast<size_t>(r)](li, lj, k) = m[2] * us + m[3] * vs;
+                }
+              }
+            }
+          }
+          SimComm comm(nranks);
+          updater.exchange_scalar(ptrs_of(q), comm);
+          updater.exchange_vector(ptrs_of(u), ptrs_of(v), comm);
+          EXPECT_TRUE(comm.all_drained());
+          EXPECT_EQ(updater.pool_outstanding(), 0);
+          for (int r = 0; r < nranks; ++r) {
+            const auto i = static_cast<size_t>(r);
+            ASSERT_TRUE(same_bits(*q[i], want_q[i])) << "rank " << r;
+            ASSERT_TRUE(same_bits(*u[i], want_u[i])) << "rank " << r;
+            ASSERT_TRUE(same_bits(*v[i], want_v[i])) << "rank " << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(HaloUpdater, MismatchedFieldShapeThrows) {
+  // Pack and unpack walk raw strides; a field that does not fit the rank's
+  // plan must be refused with a structured error before any memory moves.
+  const grid::Partitioner part = grid::Partitioner::for_ranks(12, 24);  // 6x6 per rank
+  const HaloUpdater updater(part, 3);
+  SimComm comm(part.num_ranks());
+  const auto expect_refused = [&](const FieldD& f, const char* what) {
+    try {
+      const FieldD* fields[] = {&f};
+      updater.start_rank(0, HaloUpdater::Kind::Scalar, fields, comm);
+      ADD_FAILURE() << "accepted a field with " << what;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'bad'"), std::string::npos) << e.what();
+    }
+  };
+  expect_refused(FieldD("bad", 6, 5, 2, HaloSpec{3, 3}), "the wrong nj");
+  expect_refused(FieldD("bad", 7, 6, 2, HaloSpec{3, 3}), "the wrong ni");
+  expect_refused(FieldD("bad", 6, 6, 2, HaloSpec{3, 2}), "a halo narrower than the width");
+  EXPECT_TRUE(comm.all_drained());
+  EXPECT_EQ(updater.pool_outstanding(), 0);
+
+  FieldD u("u", 6, 6, 2, HaloSpec{3, 3});
+  FieldD bad("bad", 6, 6, 3, HaloSpec{3, 3});
+  const FieldD* pair[] = {&u, &bad};  // u, v shapes differ
+  EXPECT_THROW(updater.start_rank(0, HaloUpdater::Kind::Vector, pair, comm), Error);
+  FieldD* fields[] = {&bad};
+  EXPECT_THROW(updater.finish_rank(0, HaloUpdater::Kind::Scalar, fields, comm), Error);
+  EXPECT_TRUE(comm.all_drained());
+}
+
+// ---- Parallel lockstep halo node -------------------------------------------
+
+/// A program of halo-only states: a coalesced scalar node and a vector node
+/// in one state, then a vector node with two (u, v) pairs.
+ir::Program halo_program() {
+  ir::Program p("halos");
+  p.append_state(ir::State{"mixed",
+                           {ir::SNode::make_halo_exchange("ab", {"a", "b"}, 3),
+                            ir::SNode::make_halo_exchange("uv", {"u", "v"}, 3, true)}});
+  p.append_state(
+      ir::State{"pairs", {ir::SNode::make_halo_exchange("xy", {"u", "v", "x", "y"}, 3, true)}});
+  return p;
+}
+
+/// One model instance: rank catalogs, halo updater and comm.
+struct HaloModel {
+  HaloModel(const grid::Partitioner& part, int nk, uint64_t seed, const FaultPlan& faults)
+      : halo(part, 3), comm(part.num_ranks()), cats(static_cast<size_t>(part.num_ranks())) {
+    for (int r = 0; r < part.num_ranks(); ++r) {
+      const auto info = part.info(r);
+      for (const char* name : {"a", "b", "u", "v", "x", "y"}) {
+        FieldD& f = cats[static_cast<size_t>(r)].create(name, info.ni, info.nj, nk);
+        fill_tricky(f, Rng::mix(seed, static_cast<uint64_t>(r) * 8 + name[0]));
+      }
+    }
+    ranks = bind_ranks(cats, launch_domains(part, nk));
+    comm.set_fault_plan(faults);
+  }
+  HaloUpdater halo;
+  SimComm comm;
+  std::vector<FieldCatalog> cats;
+  std::vector<RankDomain> ranks;
+};
+
+TEST(HaloUpdater, ParallelLockstepMatchesSerial) {
+  // Packing and unpacking ranks on a team must not change a bit, a message
+  // or a byte: each rank writes only its own fields, and sends and receives
+  // stay serial in rank order (so fault decisions keyed on message identity
+  // fall on the same messages). 24 ranks of 12x12x8 move 6.6e4 values per
+  // node, enough for the team to fork.
+  const grid::Partitioner part = grid::Partitioner::for_ranks(24, 24);
+  const ir::Program program = halo_program();
+  const int nk = 8, steps = 2, members = 3;
+  FaultPlan lossy;
+  lossy.seed = 0xFA17;
+  lossy.drop_rate = 0.05;
+  lossy.duplicate_rate = 0.05;
+  lossy.reorder_rate = 0.05;
+  lossy.corrupt_rate = 0.05;
+
+  for (const FaultPlan& faults : {FaultPlan{}, lossy}) {
+    SCOPED_TRACE(faults.active() ? "with a fault plan" : "fault-free");
+    // The serial reference: every member alone at a team of one.
+    std::vector<std::unique_ptr<HaloModel>> ref;
+    for (int m = 0; m < members; ++m) {
+      ref.push_back(std::make_unique<HaloModel>(part, nk, Rng::mix(0x5E, m), faults));
+      for (int s = 0; s < steps; ++s) {
+        run_lockstep_step(program, ref.back()->halo, ref.back()->ranks, ref.back()->comm);
+      }
+      ref.back()->comm.purge_acknowledged();
+    }
+    if (faults.active()) {
+      EXPECT_GT(ref[0]->comm.reliability().faults_injected(), 0);
+    }
+
+    const auto expect_same = [&](HaloModel& got, const HaloModel& want) {
+      got.comm.purge_acknowledged();  // stale duplicates of consumed messages
+      EXPECT_TRUE(got.comm.all_drained());
+      EXPECT_EQ(got.comm.total_messages(), want.comm.total_messages());
+      EXPECT_EQ(got.comm.total_bytes(), want.comm.total_bytes());
+      const ReliabilityCounters a = got.comm.reliability(), b = want.comm.reliability();
+      EXPECT_EQ(a.faults_injected(), b.faults_injected());
+      EXPECT_EQ(a.retransmits, b.retransmits);
+      EXPECT_EQ(a.corrupt_detected, b.corrupt_detected);
+      EXPECT_EQ(a.reorders_healed, b.reorders_healed);
+      EXPECT_EQ(got.halo.pool_outstanding(), 0);
+      for (size_t r = 0; r < got.cats.size(); ++r) {
+        for (const char* name : {"a", "b", "u", "v", "x", "y"}) {
+          ASSERT_TRUE(same_bits(got.cats[r].at(name), want.cats[r].at(name))) << "rank " << r;
+        }
+      }
+    };
+
+    for (const int team : {1, 2, 3, 7}) {
+      SCOPED_TRACE(::testing::Message() << "team " << team);
+      // One model through the 4-argument run_halo_node path.
+      HaloModel solo(part, nk, Rng::mix(0x5E, 0), faults);
+      solo.halo.set_num_threads(team);
+      for (int s = 0; s < steps; ++s) run_lockstep_step(program, solo.halo, solo.ranks, solo.comm);
+      expect_same(solo, *ref[0]);
+
+      // A batch: every (member, rank) side of a node in one exchange.
+      std::vector<std::unique_ptr<HaloModel>> batch;
+      std::vector<const ir::Program*> programs;
+      std::vector<const HaloUpdater*> halos;
+      std::vector<std::vector<RankDomain>*> ranks;
+      std::vector<Comm*> comms;
+      for (int m = 0; m < members; ++m) {
+        batch.push_back(std::make_unique<HaloModel>(part, nk, Rng::mix(0x5E, m), faults));
+        batch.back()->halo.set_num_threads(team);
+        programs.push_back(&program);
+        halos.push_back(&batch.back()->halo);
+        ranks.push_back(&batch.back()->ranks);
+        comms.push_back(&batch.back()->comm);
+      }
+      for (int s = 0; s < steps; ++s) run_lockstep_step(programs, halos, ranks, comms);
+      for (int m = 0; m < members; ++m) {
+        SCOPED_TRACE(::testing::Message() << "member " << m);
+        expect_same(*batch[static_cast<size_t>(m)], *ref[static_cast<size_t>(m)]);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cyclone::comm
 
@@ -462,10 +734,12 @@ TEST(CommStress, RandomizedArrivalMatchesLockstepReference) {
     std::vector<std::thread> threads;
     for (int r = 0; r < nranks; ++r) {
       threads.emplace_back([&, r] {
-        updater.start_scalars_rank(r, {q.ptrs[r]}, comm);
-        updater.start_vector_rank(r, *u.ptrs[r], *v.ptrs[r], comm);
-        updater.finish_scalars_rank(r, {q.ptrs[r]}, comm);
-        updater.finish_vector_rank(r, *u.ptrs[r], *v.ptrs[r], comm);
+        FieldD* scalars[] = {q.ptrs[r]};
+        FieldD* pair[] = {u.ptrs[r], v.ptrs[r]};
+        updater.start_rank(r, HaloUpdater::Kind::Scalar, scalars, comm);
+        updater.start_rank(r, HaloUpdater::Kind::Vector, pair, comm);
+        updater.finish_rank(r, HaloUpdater::Kind::Scalar, scalars, comm);
+        updater.finish_rank(r, HaloUpdater::Kind::Vector, pair, comm);
       });
     }
     for (auto& t : threads) t.join();
@@ -508,10 +782,9 @@ TEST(CommStress, GroupedExchangeUnderThreads) {
   std::vector<std::thread> threads;
   for (int r = 0; r < nranks; ++r) {
     threads.emplace_back([&, r] {
-      const std::vector<const FieldD*> send{a.ptrs[r], b.ptrs[r]};
-      std::vector<FieldD*> recv{a.ptrs[r], b.ptrs[r]};
-      updater.start_scalars_rank(r, send, comm);
-      updater.finish_scalars_rank(r, recv, comm);
+      FieldD* fields[] = {a.ptrs[r], b.ptrs[r]};
+      updater.start_rank(r, HaloUpdater::Kind::Scalar, fields, comm);
+      updater.finish_rank(r, HaloUpdater::Kind::Scalar, fields, comm);
     });
   }
   for (auto& t : threads) t.join();

@@ -57,10 +57,30 @@ TEST(Verify, BitwiseCompareRejectsSignedZeroAndNanPayload) {
     b(2, -1, 1) = got;
     const FieldDivergence d = compare_fields_bitwise("f", a, b);
     EXPECT_FALSE(d.ok) << want << " vs " << got;
+    EXPECT_TRUE(d.bits_only) << want << " vs " << got;
     EXPECT_EQ(std::tuple(d.at_i, d.at_j, d.at_k), std::tuple(2, -1, 1));
+    // The report names the kind of difference instead of "diverges by 0".
+    EquivalenceReport report;
+    report.equivalent = false;
+    report.domains.push_back(DomainResult{exec::LaunchDomain{4, 3, 2}, 0, {d}, false, {}});
+    const std::string text = report.first_failure();
+    EXPECT_NE(text.find("field 'f' differs in bit pattern only (signed zero or NaN payload"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("at (2,-1,1)"), std::string::npos) << text;
+    EXPECT_EQ(text.find("diverges by"), std::string::npos) << text;
     b(2, -1, 1) = want;
     EXPECT_TRUE(compare_fields_bitwise("f", a, b).ok);
   }
+  // A numeric difference stays a divergence with its ulp count.
+  FieldD a("f", 4, 3, 2, HaloSpec{1, 1});
+  a.fill(1.0);
+  FieldD b = a;
+  b(0, 0, 0) = std::nextafter(1.0, 2.0);
+  const FieldDivergence d = compare_fields_bitwise("f", a, b);
+  EXPECT_FALSE(d.ok);
+  EXPECT_FALSE(d.bits_only);
+  EXPECT_EQ(d.max_ulps, 1.0);
 }
 
 TEST(Verify, DefaultDomainsCoverEdgePlacements) {
