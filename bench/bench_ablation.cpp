@@ -3,9 +3,7 @@
 // pipeline pulls:
 //   A. iteration-order / data-layout match (the Sec. VI-A4 layout sweep),
 //   B. kernel fusion (thread-level) on the memory-bound transport chain,
-//   C. vertical-solver register caching (Sec. VI-A2 local storage),
-//   D. pooled vs fresh temporaries in the tape executor (orchestration's
-//      allocate-outside-the-critical-path), measured for real on this host.
+//   C. vertical-solver register caching (Sec. VI-A2 local storage).
 
 #include "bench_common.hpp"
 #include "core/dsl/builder.hpp"
@@ -63,25 +61,5 @@ int main() {
     }
   }
 
-  // D. Temp pooling, measured on this host.
-  {
-    std::printf("\nD. pooled vs fresh temporaries (host-measured fv_tp_2d, 128x128x40)\n");
-    for (bool pooled : {false, true}) {
-      FieldCatalog cat;
-      for (const char* name : {"q", "crx", "cry", "fx", "fy"}) cat.create(name, 128, 128, 40);
-      cat.at("q").fill(1.0);
-      cat.at("crx").fill(0.2);
-      cat.at("cry").fill(0.1);
-      exec::CompiledStencil cs(fv3::build_fv_tp2d());
-      cs.set_temp_pooling(pooled);
-      const exec::LaunchDomain d = bench::tile_domain(128, 40);
-      cs.run(cat, d);  // warm-up
-      WallTimer timer;
-      const int reps = 5;
-      for (int r = 0; r < reps; ++r) cs.run(cat, d);
-      std::printf("   pooling %-3s %12s / launch\n", pooled ? "on" : "off",
-                  str::human_time(timer.seconds() / reps).c_str());
-    }
-  }
   return 0;
 }

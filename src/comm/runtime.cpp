@@ -194,6 +194,56 @@ void exchange_sides(std::vector<NodeSide>& sides, int threads) {
   for (auto& side : sides) side.release();
 }
 
+/// One rank side of a compute state: the program copy that runs it and the
+/// rank's catalog and domain.
+struct ComputeSide {
+  const ir::Program* program;
+  RankDomain* rd;
+};
+
+/// Run compute state `sidx` on every side, on a team of `threads` (each
+/// launch on a team of one), or in side order with each launch on the full
+/// team. The team forks only on the OpenMP and Jit backends (the
+/// Interpreter stays the serial oracle, Tape stays serial) and never for a
+/// state with a Callback node (a callback may observe anything, rank order
+/// included). There is no volume grain: forking won at every state size
+/// the models build (DESIGN.md section 8). Each side writes only its own
+/// catalog, the executors are shared read-only (prepare_state builds them
+/// first, on this thread), temporaries come from each thread's own
+/// Workspace and a launch reads only temporary cells it wrote or zeroed,
+/// and a launch's values do not depend on its team size, so the result is
+/// bitwise the same at any team size.
+void run_compute_state(std::vector<ComputeSide>& sides, int sidx, int threads) {
+  const ir::State& st = sides.front().program->states()[static_cast<size_t>(sidx)];
+  bool forkable = threads > 1 && sides.size() > 1;
+  for (const auto& node : st.nodes) forkable &= node.kind != ir::SNode::Kind::Callback;
+  for (const auto& side : sides) {
+    const exec::ExecBackend b = side.program->run_options().backend;
+    forkable &= b == exec::ExecBackend::OpenMP || b == exec::ExecBackend::Jit;
+  }
+  if (!forkable) {
+    for (auto& side : sides) side.program->execute_state(sidx, *side.rd->catalog, side.rd->dom);
+    return;
+  }
+  for (auto& side : sides) side.program->prepare_state(sidx);
+  // An exception must not leave the region: keep each side's, rethrow the
+  // first in side order.
+  const long n = static_cast<long>(sides.size());
+  std::vector<std::exception_ptr> errors(sides.size());
+#pragma omp parallel for num_threads(threads) schedule(dynamic)
+  for (long i = 0; i < n; ++i) {
+    ComputeSide& side = sides[static_cast<size_t>(i)];
+    try {
+      side.program->execute_state(sidx, *side.rd->catalog, side.rd->dom);
+    } catch (...) {
+      errors[static_cast<size_t>(i)] = std::current_exception();
+    }
+  }
+  for (const auto& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+}
+
 /// Append one side of halo node `node` per rank of `ranks`, in rank order.
 void add_sides(std::vector<NodeSide>& sides, const HaloUpdater& halo, const ir::SNode& node,
                std::vector<RankDomain>& ranks, Comm& comm) {
@@ -246,9 +296,11 @@ void run_lockstep_step(std::span<const ir::Program* const> programs,
       }
       continue;
     }
+    std::vector<ComputeSide> sides;
     for (size_t m = 0; m < n; ++m) {
-      for (auto& rd : *ranks[m]) programs[m]->execute_state(sidx, *rd.catalog, rd.dom);
+      for (auto& rd : *ranks[m]) sides.push_back(ComputeSide{programs[m], &rd});
     }
+    run_compute_state(sides, sidx, halos[0]->num_threads());
   }
 }
 
@@ -404,9 +456,9 @@ ConcurrentRuntime::ConcurrentRuntime(const ir::Program& program, const HaloUpdat
                  "rank count mismatch with halo updater");
   for (const auto& rd : ranks_) CY_REQUIRE_MSG(rd.catalog, "rank without catalog");
 
-  // One program copy per rank. The copy shares the immutable stencil IR
-  // (shared_ptr) but must not share the executor caches: CompiledStencil
-  // keeps a mutable temp pool, which would race across rank threads.
+  // One program copy per rank, each with its own run options and executor
+  // caches. The copy shares the stencil IR (shared_ptr); the executors are
+  // immutable too and could be shared, but each copy still builds its own.
   exec::RunOptions per_rank = options_.run;
   per_rank.num_threads = options_.run.threads_per_rank > 0 ? options_.run.threads_per_rank : 1;
   programs_.reserve(ranks_.size());

@@ -144,11 +144,15 @@ struct RunReport {
 /// per-rank health table included) for verify_pipeline and log scraping.
 std::string run_report_to_json(const RunReport& report);
 
-/// Execute one program pass over all ranks with the sequential phase-based
-/// scheduler: compute states run per rank in rank order; halo-only states
-/// run as collective exchanges through `comm`. This is the lockstep
-/// reference the concurrent runtime is verified bitwise against. It is the
-/// batched overload below with a single instance.
+/// Execute one program pass over all ranks with the phase-based scheduler:
+/// a compute state runs on every rank before the next state starts;
+/// halo-only states run as collective exchanges through `comm`. A compute
+/// state runs its ranks on halo.num_threads() threads with every launch on
+/// a team of one, or, on the Interpreter and Tape backends and for a state
+/// with a Callback node, in rank order; the result is bitwise the same.
+/// This is the lockstep reference the concurrent runtime is verified
+/// bitwise against. It is the batched overload below with a single
+/// instance.
 void run_lockstep_step(const ir::Program& program, const HaloUpdater& halo,
                        std::vector<RankDomain>& ranks, Comm& comm);
 
@@ -156,13 +160,13 @@ void run_lockstep_step(const ir::Program& program, const HaloUpdater& halo,
 /// program (the ensemble runtime's batched member sweep). Instance m is
 /// (programs[m], halos[m], ranks[m], comms[m]); the state order comes from
 /// programs[0], and the instance loop is folded inside every phase: each
-/// compute state runs instance by instance over its ranks, and each halo
-/// node is one exchange over every (instance, rank) pair, packed and
-/// unpacked on halos[0]'s team. Every instance executes the same states in
-/// the same order as its solo pass, and its comm sees its sends and
-/// receives in the same order, so each result is bitwise equal to a solo
-/// run by construction. Programs must be per-instance copies: executor
-/// caches and JIT handles are not shared.
+/// compute state runs over every (instance, rank) side, and each halo node
+/// is one exchange over every (instance, rank) pair, both on halos[0]'s
+/// team. Every instance executes the same states in the same order as its
+/// solo pass, and its comm sees its sends and receives in the same order,
+/// so each result is bitwise equal to a solo run by construction. Instances
+/// may share one program: its executors are immutable, and each thread
+/// cuts its temporaries from its own exec::Workspace.
 void run_lockstep_step(std::span<const ir::Program* const> programs,
                        std::span<const HaloUpdater* const> halos,
                        std::span<std::vector<RankDomain>* const> ranks,
@@ -335,9 +339,8 @@ class ConcurrentRuntime {
   const HaloUpdater& halo_;
   std::vector<RankDomain> ranks_;
   RuntimeOptions options_;
-  /// One program copy per rank: Program's lazily-built executor caches (and
-  /// CompiledStencil's temp pools behind them) are per-thread state, so
-  /// rank threads must not share them. Copies are warmed by precompile().
+  /// One program copy per rank, with the rank thread's run options and its
+  /// own executor caches, warmed by precompile().
   std::vector<ir::Program> programs_;
   std::vector<int> order_;          ///< flattened state execution order
   std::vector<char> halo_only_;     ///< per state: all nodes are HaloExchange

@@ -115,7 +115,9 @@ class Comm {
 /// messages from the retained send log (the sequential scheduler's idealized
 /// synchronous retransmit — one retry always succeeds). The values recv
 /// returns are therefore identical to the fault-free run. Without a plan the
-/// original zero-copy path runs unchanged.
+/// original zero-copy path runs unchanged, and a mailbox, once made, lives
+/// as long as the communicator: tags are fixed, so the (src, dst, tag) key
+/// space is bounded and steady-state messages allocate no mailbox.
 class SimComm : public Comm {
  public:
   explicit SimComm(int nranks) : nranks_(nranks) {
@@ -191,7 +193,6 @@ class SimComm : public Comm {
                                                              << describe_pending(pending()));
       std::vector<double> data = std::move(it->second.front().data);
       it->second.pop_front();
-      if (it->second.empty()) mailboxes_.erase(it);
       return data;
     }
     ChannelState& cs = reliable_[key];
@@ -283,6 +284,9 @@ class SimComm : public Comm {
       it = q.empty() ? mailboxes_.erase(it) : std::next(it);
     }
   }
+
+  /// Mailboxes that exist, empty ones included. Exposed for tests.
+  [[nodiscard]] size_t mailbox_count() const { return mailboxes_.size(); }
 
   [[nodiscard]] long total_messages() const override { return total_messages_; }
   [[nodiscard]] long total_bytes() const override { return total_bytes_; }

@@ -11,6 +11,9 @@ namespace cyclone::exec {
 
 int resolved_num_threads(const RunOptions& run) {
   if (run.backend == ExecBackend::Tape) return 1;
+#ifdef _OPENMP
+  if (omp_in_parallel()) return 1;
+#endif
   if (run.num_threads > 0) return run.num_threads;
 #ifdef _OPENMP
   return omp_get_max_threads();

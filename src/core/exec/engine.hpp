@@ -21,9 +21,10 @@ struct Tile {
 /// their actual low corner, not from zero.
 std::vector<Tile> decompose_tiles(const Rect& rect, int tile_i, int tile_j);
 
-/// Thread count a run resolves to: 1 on the serial Tape backend or when
-/// OpenMP is absent, the explicit request when given, else the OpenMP
-/// runtime default.
+/// Thread count a run resolves to: 1 on the serial Tape backend and inside
+/// an active parallel region (a launch of a rank side that runs on the
+/// lockstep compute team runs on a team of one); else the explicit request
+/// when given, else the OpenMP runtime default (1 without OpenMP).
 int resolved_num_threads(const RunOptions& run);
 
 /// Apply rectangle of one compiled statement under a launch: compute domain

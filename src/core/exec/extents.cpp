@@ -34,18 +34,85 @@ struct FlatStmt {
   const Stmt* stmt;
   long k_lo;  // resolved interval [k_lo, k_hi)
   long k_hi;
+  dsl::IterOrder order;
+  int interval;  // index of the interval block, counted over the stencil
 };
 
 std::vector<FlatStmt> flatten_with_intervals(const dsl::StencilFunc& stencil) {
   std::vector<FlatStmt> out;
+  int interval = 0;
   for (const auto& block : stencil.blocks()) {
     for (const auto& iv : block.intervals) {
       for (const auto& stmt : iv.body) {
-        out.push_back(FlatStmt{&stmt, iv.k_range.lo_level(kRefNk), iv.k_range.hi_level(kRefNk)});
+        out.push_back(FlatStmt{&stmt, iv.k_range.lo_level(kRefNk), iv.k_range.hi_level(kRefNk),
+                               block.order, interval});
       }
+      ++interval;
     }
   }
   return out;
+}
+
+/// Every offset `name` is read at in `expr`.
+void collect_offsets(const dsl::ExprP& expr, const std::string& name,
+                     std::vector<dsl::Offset>& out) {
+  if (expr->kind == dsl::ExprKind::FieldAccess && expr->name == name) out.push_back(expr->off);
+  for (const auto& arg : expr->args) collect_offsets(arg, name, out);
+}
+
+/// Whether the union of the inclusive level ranges contains [lo, hi].
+bool covers(std::vector<std::pair<long, long>> ranges, long lo, long hi) {
+  std::sort(ranges.begin(), ranges.end());
+  long reach = lo - 1;  // [lo, reach] is covered
+  for (const auto& [a, b] : ranges) {
+    if (a > reach + 1) break;
+    reach = std::max(reach, b);
+  }
+  return reach >= hi;
+}
+
+/// Whether a launch may read a cell of temporary `temp` that no earlier
+/// statement of the launch wrote. Conservative: a read counts as covered
+/// only when its levels lie in the union of the levels that earlier
+/// region-free statements wrote (reverse extent propagation makes each of
+/// those write every column a later read needs), or, for a FORWARD/BACKWARD
+/// read of a level the sweep already passed at the same column, in the
+/// interval's own levels when a region-free statement of the interval
+/// writes the temporary over at least the reader's columns. A
+/// region-restricted write, a read before the first write, or a level gap
+/// all make the temporary read cells it did not write.
+bool may_read_unwritten(const std::vector<FlatStmt>& flat, const std::vector<StmtInfo>& info,
+                        const std::string& temp) {
+  std::vector<std::pair<long, long>> written;
+  for (size_t idx = 0; idx < flat.size(); ++idx) {
+    const FlatStmt& fs = flat[idx];
+    // Only PARALLEL statements apply their vertical extension.
+    const bool parallel = fs.order == dsl::IterOrder::Parallel;
+    const long lo = fs.k_lo - (parallel ? info[idx].ext_k_lo_levels : 0);
+    const long hi = fs.k_hi - 1 + (parallel ? info[idx].ext_k_hi_levels : 0);
+    const bool writes = fs.stmt->lhs == temp && !fs.stmt->region;
+    const auto covers_columns = [&](const dsl::Extent& w) {
+      const dsl::Extent& r = info[idx].write_extent;
+      return w.i_lo <= r.i_lo && w.i_hi >= r.i_hi && w.j_lo <= r.j_lo && w.j_hi >= r.j_hi;
+    };
+    bool sweep_writes = false;  // the interval writes the temporary under the reader
+    for (size_t w = 0; w < flat.size(); ++w) {
+      sweep_writes |= flat[w].interval == fs.interval && flat[w].stmt->lhs == temp &&
+                      !flat[w].stmt->region && covers_columns(info[w].write_extent);
+    }
+    std::vector<dsl::Offset> offs;
+    collect_offsets(fs.stmt->rhs, temp, offs);
+    for (const dsl::Offset& off : offs) {
+      std::vector<std::pair<long, long>> avail = written;
+      const bool swept = off.i == 0 && off.j == 0 &&
+                         ((fs.order == dsl::IterOrder::Forward && off.k < 0) ||
+                          (fs.order == dsl::IterOrder::Backward && off.k > 0));
+      if (sweep_writes && swept) avail.emplace_back(lo, hi);
+      if (!covers(std::move(avail), lo + off.k, hi + off.k)) return true;
+    }
+    if (writes) written.emplace_back(lo, hi);
+  }
+  return false;
 }
 
 }  // namespace
@@ -187,6 +254,7 @@ std::map<std::string, TempAlloc> compute_temp_allocs(const dsl::StencilFunc& ste
       a.k_lo = static_cast<int>(std::min<long>(0, it->second.lo));
       a.k_hi = static_cast<int>(std::max<long>(0, it->second.hi - (kRef - 1)));
     }
+    a.zero = may_read_unwritten(flat, info, temp);
     out[temp] = a;
   }
   return out;

@@ -39,6 +39,11 @@ struct TempAlloc {
   int halo_j = 0;
   int k_lo = 0;  ///< most negative k index used (<= 0)
   int k_hi = 0;  ///< levels needed beyond nk (>= 0)
+  /// Some statement may read a cell no earlier statement of the launch
+  /// wrote (a region-restricted write, a read before the first write, a
+  /// level gap). Such a read sees 0 from a fresh temporary, so a launch
+  /// that reuses storage must zero this one first.
+  bool zero = false;
 };
 
 /// Allocation requirements for every temporary of the stencil: the union of

@@ -56,7 +56,7 @@ std::shared_ptr<JitProgram> JitProgram::build(const std::string& tag,
 
 void JitProgram::run(const CompiledStencil& cs, FieldCatalog& catalog, const StencilArgs& args,
                      const LaunchDomain& dom, const sched::Schedule& schedule,
-                     const RunOptions& run) {
+                     const RunOptions& run) const {
   const std::vector<SlotBind> slots = cs.resolve_slots(catalog, args, dom);
   const std::vector<double> params = cs.resolve_params(args);
 
@@ -67,8 +67,7 @@ void JitProgram::run(const CompiledStencil& cs, FieldCatalog& catalog, const Ste
   }
   if (!fn || !jit_runnable(slots)) {
     ++fallbacks_;
-    if (!warned_) {
-      warned_ = true;
+    if (!warned_.exchange(true)) {
       std::fprintf(stderr, "[cyclone-jit] falling back to tape engine for '%s': %s\n",
                    cs.stencil().name().c_str(),
                    !fn ? (error_.empty() ? "kernel not bound" : error_.c_str())
@@ -81,13 +80,22 @@ void JitProgram::run(const CompiledStencil& cs, FieldCatalog& catalog, const Ste
   // Resolve all bounds host-side with the engine's own clipping rules; the
   // kernel sees pre-digested rectangles. The walk order here must mirror
   // codegen's flat statement/interval numbering exactly.
-  slot_tab_.resize(slots.size());
+  // Per-thread host tables and commit buffer, reused across launches, so a
+  // JitProgram stays immutable and rank sides on a team may share it.
+  struct Tables {
+    std::vector<CyJitSlot> slots;
+    std::vector<CyJitBounds> stmts;
+    std::vector<CyJitIv> ivs;
+    std::vector<double> scratch;
+  };
+  thread_local Tables tab;
+  tab.slots.resize(slots.size());
   for (size_t s = 0; s < slots.size(); ++s) {
-    slot_tab_[s] = CyJitSlot{slots[s].origin, slots[s].sj, slots[s].sk, slots[s].koff,
+    tab.slots[s] = CyJitSlot{slots[s].origin, slots[s].sj, slots[s].sk, slots[s].koff,
                              slots[s].nk};
   }
-  stmt_tab_.clear();
-  iv_tab_.clear();
+  tab.stmts.clear();
+  tab.ivs.clear();
   long scratch_need = 0;
   for (const CBlock& block : cs.blocks()) {
     const bool parallel_block = block.order == dsl::IterOrder::Parallel;
@@ -103,7 +111,7 @@ void JitProgram::run(const CompiledStencil& cs, FieldCatalog& catalog, const Ste
         klo = std::max(klo, -out.koff);
         khi = std::min(khi, out.nk - out.koff);
         const Rect rect = stmt_apply_rect(stmt, dom);
-        stmt_tab_.push_back(CyJitBounds{rect.i.lo, rect.i.hi, rect.j.lo, rect.j.hi, klo, khi});
+        tab.stmts.push_back(CyJitBounds{rect.i.lo, rect.i.hi, rect.j.lo, rect.j.hi, klo, khi});
         if (khi <= klo || rect.empty()) continue;
         if (!have_uni) {
           ve.ilo = rect.i.lo;
@@ -128,19 +136,19 @@ void JitProgram::run(const CompiledStencil& cs, FieldCatalog& catalog, const Ste
         }
       }
       if (!have_uni) ve = CyJitIv{0, 0, 0, 0, 0, 0};
-      iv_tab_.push_back(ve);
+      tab.ivs.push_back(ve);
     }
   }
-  if (scratch_need > static_cast<long>(scratch_.size())) {
-    scratch_.resize(static_cast<size_t>(scratch_need));
+  if (scratch_need > static_cast<long>(tab.scratch.size())) {
+    tab.scratch.resize(static_cast<size_t>(scratch_need));
   }
 
   CyJitArgs a{};
-  a.slots = slot_tab_.data();
+  a.slots = tab.slots.data();
   a.params = params.data();
-  a.stmts = stmt_tab_.data();
-  a.intervals = iv_tab_.data();
-  a.scratch = scratch_.data();
+  a.stmts = tab.stmts.data();
+  a.intervals = tab.ivs.data();
+  a.scratch = tab.scratch.data();
   a.tile_j = schedule.tile_j;
   a.k_as_map = schedule.k_as_map ? 1 : 0;
   a.num_threads = resolved_num_threads(run);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -16,7 +17,9 @@ namespace cyclone::exec::jit {
 /// shared object (one codegen + one host-compiler invocation + one dlopen
 /// per program, the granularity DaCe compiles SDFGs at). Building never
 /// throws on toolchain problems: a program whose module cannot be produced
-/// degrades to the tape engine per call, with one logged warning.
+/// degrades to the tape engine per call, with one logged warning. Immutable
+/// once built (run() keeps its per-launch tables per thread), so rank sides
+/// running on a team may share one.
 class JitProgram {
  public:
   using StencilList =
@@ -40,25 +43,19 @@ class JitProgram {
   /// all happen here on the host; a launch that fails a guard runs through
   /// run_blocks on the same resolved bindings instead, preserving behavior.
   void run(const CompiledStencil& cs, FieldCatalog& catalog, const StencilArgs& args,
-           const LaunchDomain& dom, const sched::Schedule& schedule, const RunOptions& run);
+           const LaunchDomain& dom, const sched::Schedule& schedule,
+           const RunOptions& run) const;
 
   /// Launches that took the tape-engine fallback path (guards or missing
-  /// module) since construction. Exposed for tests.
-  [[nodiscard]] long fallbacks() const { return fallbacks_; }
+  /// module) since construction, from any thread. Exposed for tests.
+  [[nodiscard]] long fallbacks() const { return fallbacks_.load(); }
 
  private:
   std::shared_ptr<LoadedModule> module_;
   std::map<const CompiledStencil*, KernelFn> kernels_;
   std::string error_;
-  /// Reused per-launch host tables and the two-phase commit buffer. A
-  /// JitProgram belongs to one Program copy (rank thread), mirroring the
-  /// tape executor's per-copy temp pool, so these are not shared state.
-  std::vector<CyJitSlot> slot_tab_;
-  std::vector<CyJitBounds> stmt_tab_;
-  std::vector<CyJitIv> iv_tab_;
-  std::vector<double> scratch_;
-  long fallbacks_ = 0;
-  bool warned_ = false;
+  mutable std::atomic<long> fallbacks_{0};
+  mutable std::atomic<bool> warned_{false};
 };
 
 }  // namespace cyclone::exec::jit

@@ -1,11 +1,21 @@
 #include "core/exec/tape.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
 #include "core/dsl/analysis.hpp"
 #include "core/dsl/builder.hpp"
 #include "core/exec/engine.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+constexpr bool kAsan = true;
+#else
+constexpr bool kAsan = false;
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 namespace cyclone::exec {
 
@@ -163,56 +173,77 @@ double eval_tape(const CStmt& stmt, const double* const* plane_ptrs,
   return run_tape(stmt, plane_ptrs, plane_strides, params, i);
 }
 
+Workspace& Workspace::local() {
+  thread_local Workspace ws;
+  return ws;
+}
+
+double* Workspace::temps(size_t elems) {
+  if (elems > temp_capacity_) {
+    ASAN_UNPOISON_MEMORY_REGION(temps_.get(), temp_capacity_ * sizeof(double));
+    temps_.reset(new double[elems]());
+    temp_capacity_ = elems;
+  }
+  // Under AddressSanitizer the previous launch's redzones are lifted and
+  // the unused tail is poisoned; the caller poisons this launch's redzones.
+  ASAN_UNPOISON_MEMORY_REGION(temps_.get(), elems * sizeof(double));
+  ASAN_POISON_MEMORY_REGION(temps_.get() + elems, (temp_capacity_ - elems) * sizeof(double));
+  return temps_.get();
+}
+
 std::vector<SlotBind> CompiledStencil::resolve_slots(FieldCatalog& catalog,
                                                      const StencilArgs& args,
                                                      const LaunchDomain& dom) const {
   CY_REQUIRE_MSG(dom.ni > 0 && dom.nj > 0 && dom.nk > 0, "launch domain must be positive");
 
-  // Resolve slots. Temporaries come from a pool reused across launches with
-  // the same geometry (allocation off the critical path, as orchestration
-  // arranges); a geometry change rebuilds the pool.
-  // Negative extensions (the concurrent runtime's interior/rim launches)
-  // shrink the apply rectangle, so they never enlarge temp halos: clamp at 0
-  // so shrunk launches share pool geometry with the full launch.
-  const PoolKey key{dom.ni, dom.nj, dom.nk, std::max({dom.ext.ilo, dom.ext.ihi, 0}),
-                    std::max({dom.ext.jlo, dom.ext.jhi, 0})};
-  std::vector<std::unique_ptr<FieldD>> local_temps;
-  std::vector<std::unique_ptr<FieldD>>* temps = &local_temps;
-  if (temp_pooling_) {
-    if (!(pool_key_ == key)) {
-      temp_pool_.clear();
-      pool_key_ = key;
-    }
-    temps = &temp_pool_;
+  // Temporaries are cut from the thread's launch-scoped arena, each at an
+  // offset rounded to the field alignment so its rows align as an owned
+  // field's would; under AddressSanitizer a poisoned redzone follows each
+  // one, so an access past a temporary faults instead of landing in the
+  // next. Negative extensions (the concurrent runtime's interior/rim
+  // launches) shrink the apply rectangle, so they never enlarge temp halos:
+  // clamp at 0.
+  const int ext_i = std::max({dom.ext.ilo, dom.ext.ihi, 0});
+  const int ext_j = std::max({dom.ext.jlo, dom.ext.jhi, 0});
+  const auto temp_shape = [&](size_t s) {
+    const TempAlloc& ta = slot_temp_alloc_[s];
+    return FieldShape(dom.ni, dom.nj, dom.nk + (ta.k_hi - ta.k_lo),
+                      HaloSpec{ta.halo_i + ext_i, ta.halo_j + ext_j});
+  };
+  const auto slice = [](const FieldShape& sh) {
+    const size_t a = static_cast<size_t>(sh.alignment());
+    return (sh.alloc_elems() + a - 1) / a * a + (kAsan ? a : 0);
+  };
+  size_t arena_elems = 0;
+  for (size_t s = 0; s < slot_names_.size(); ++s) {
+    if (slot_is_temp_[s]) arena_elems += slice(temp_shape(s));
   }
-  const bool build_temps = temps->empty();
+  double* arena = arena_elems > 0 ? Workspace::local().temps(arena_elems) : nullptr;
 
   std::vector<SlotBind> slots(slot_names_.size());
-  size_t temp_idx = 0;
   for (size_t s = 0; s < slot_names_.size(); ++s) {
-    FieldD* f = nullptr;
-    int koff = 0;
+    SlotBind& sb = slots[s];
+    FieldShape sh;
     if (slot_is_temp_[s]) {
       const TempAlloc& ta = slot_temp_alloc_[s];
-      if (build_temps) {
-        const int nk_alloc = dom.nk + (ta.k_hi - ta.k_lo);
-        const int halo_i = ta.halo_i + key.hi;
-        const int halo_j = ta.halo_j + key.hj;
-        temps->push_back(std::make_unique<FieldD>(
-            slot_names_[s], FieldShape(dom.ni, dom.nj, nk_alloc, HaloSpec{halo_i, halo_j})));
-      }
-      f = (*temps)[temp_idx++].get();
-      koff = -ta.k_lo;
+      sh = temp_shape(s);
+      // The arena holds whatever earlier launches left; a temporary whose
+      // reads may reach cells this launch does not write starts from zero,
+      // as a fresh one would.
+      if (ta.zero) std::fill_n(arena, sh.alloc_elems(), 0.0);
+      ASAN_POISON_MEMORY_REGION(arena + sh.alloc_elems(),
+                                (slice(sh) - sh.alloc_elems()) * sizeof(double));
+      sb.origin = arena + sh.index(0, 0, 0);
+      sb.koff = -ta.k_lo;
+      arena += slice(sh);
     } else {
-      f = &catalog.at(args.actual(slot_names_[s]));
+      FieldD& f = catalog.at(args.actual(slot_names_[s]));
+      sh = f.shape();
+      sb.origin = f.data() + sh.index(0, 0, 0);
     }
-    const FieldShape& sh = f->shape();
-    SlotBind& sb = slots[s];
-    sb.origin = f->data() + sh.index(0, 0, 0);
     sb.si = sh.stride_i();
     sb.sj = sh.stride_j();
     sb.sk = sh.stride_k();
-    sb.koff = koff;
     sb.nk = sh.nk();
     // Single-level fields broadcast over k (GT4Py IJ-field semantics): a
     // zero k stride makes every level read/write the one plane.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "core/dsl/stencil.hpp"
@@ -101,10 +102,34 @@ struct SlotBind {
   int nk = 0;
 };
 
+/// The arena stencil launches cut their temporaries from, one per thread.
+/// Executors (CompiledStencil, jit::JitProgram) hold no launch state, so
+/// once built they are immutable and any number of threads may share them.
+/// What a launch takes stays valid until the next launch on the same thread.
+class Workspace {
+ public:
+  /// The calling thread's workspace.
+  static Workspace& local();
+
+  /// Storage for `elems` doubles, the start of this launch's temporaries.
+  /// The arena grows to the largest launch the thread has run and never
+  /// shrinks, so a thread holds the temporaries of one launch, not of every
+  /// stencil. It is not zeroed per launch: a launch finds whatever earlier
+  /// launches left, and zeroes only the temporaries whose reads may reach
+  /// cells it does not write (TempAlloc::zero).
+  double* temps(size_t elems);
+  [[nodiscard]] size_t temp_capacity() const { return temp_capacity_; }
+
+ private:
+  std::unique_ptr<double[]> temps_;
+  size_t temp_capacity_ = 0;
+};
+
 /// A stencil lowered to bytecode: the analog of DaCe's generated kernel code.
 /// Construction performs the full frontend pipeline (validation, extent
 /// analysis, temporary sizing, tape flattening); run() is allocation-light
-/// and reusable across many launches.
+/// and reusable across many launches. Immutable once built: the launch
+/// state lives in the calling thread's Workspace.
 class CompiledStencil {
  public:
   explicit CompiledStencil(dsl::StencilFunc stencil);
@@ -127,15 +152,11 @@ class CompiledStencil {
     run(catalog, StencilArgs{}, dom);
   }
 
-  /// Temporaries are pooled across runs with the same launch geometry
-  /// (orchestration's "allocate memory outside the critical path"); pass
-  /// false to allocate fresh zeroed temporaries every launch.
-  void set_temp_pooling(bool enabled) { temp_pooling_ = enabled; }
-
   /// Resolve every slot to concrete storage for one launch: catalog fields
-  /// through `args.bind` renaming, temporaries from the (pooled) allocator.
-  /// This is the binding step shared by run() and the JIT backend, which
-  /// hands the same SlotBind table to its generated kernels.
+  /// through `args.bind` renaming, temporaries cut from the calling thread's
+  /// Workspace arena (valid until its next launch). This is the binding
+  /// step shared by run() and the JIT backend, which hands the same
+  /// SlotBind table to its generated kernels.
   [[nodiscard]] std::vector<SlotBind> resolve_slots(FieldCatalog& catalog,
                                                     const StencilArgs& args,
                                                     const LaunchDomain& dom) const;
@@ -144,22 +165,12 @@ class CompiledStencil {
   [[nodiscard]] std::vector<double> resolve_params(const StencilArgs& args) const;
 
  private:
-  friend class TapeTransforms;
-
   dsl::StencilFunc stencil_;
   std::vector<CBlock> blocks_;
   std::vector<std::string> slot_names_;
   std::vector<bool> slot_is_temp_;
   std::vector<TempAlloc> slot_temp_alloc_;
   std::vector<std::string> param_names_;
-
-  bool temp_pooling_ = true;
-  struct PoolKey {
-    int ni = -1, nj = -1, nk = -1, hi = -1, hj = -1;
-    friend bool operator==(const PoolKey&, const PoolKey&) = default;
-  };
-  mutable PoolKey pool_key_;
-  mutable std::vector<std::unique_ptr<FieldD>> temp_pool_;
 };
 
 /// Flatten one expression into postfix tape code; appends to `code` and

@@ -2,6 +2,10 @@
 
 #include <sstream>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "core/dsl/analysis.hpp"
 #include "core/exec/jit/jit.hpp"
 
@@ -110,28 +114,45 @@ void Program::exec_state(const State& state, FieldCatalog& catalog,
 }
 
 const exec::RefExecutor& Program::reference_executor(const dsl::StencilFunc& stencil) const {
+  auto it = reference_.find(&stencil);
+  if (it != reference_.end()) return *it->second;
+  require_serial_build();
   auto& slot = reference_[&stencil];
-  if (!slot) slot = std::make_shared<exec::RefExecutor>(stencil);
+  slot = std::make_shared<exec::RefExecutor>(stencil);
   return *slot;
 }
 
 const std::shared_ptr<exec::CompiledStencil>& Program::compiled_executor(
     const dsl::StencilFunc& stencil) const {
+  auto it = compiled_.find(&stencil);
+  if (it != compiled_.end()) return it->second;
+  require_serial_build();
   auto& slot = compiled_[&stencil];
-  if (!slot) slot = std::make_shared<exec::CompiledStencil>(stencil);
+  slot = std::make_shared<exec::CompiledStencil>(stencil);
   return slot;
 }
 
+void Program::require_serial_build() {
+#ifdef _OPENMP
+  CY_REQUIRE_MSG(!omp_in_parallel(),
+                 "executor cache miss inside a parallel region: call prepare_state first");
+#endif
+}
+
 void Program::precompile() const {
+  for (size_t s = 0; s < states_.size(); ++s) prepare_state(static_cast<int>(s));
+}
+
+void Program::prepare_state(int index) const {
+  CY_REQUIRE_MSG(index >= 0 && index < static_cast<int>(states_.size()),
+                 "state index " << index << " out of range");
   const bool interpret = run_options_.backend == exec::ExecBackend::Interpreter;
-  for (const auto& state : states_) {
-    for (const auto& node : state.nodes) {
-      if (node.kind != SNode::Kind::Stencil) continue;
-      if (interpret) {
-        reference_executor(*node.stencil);
-      } else {
-        compiled_executor(*node.stencil);
-      }
+  for (const auto& node : states_[static_cast<size_t>(index)].nodes) {
+    if (node.kind != SNode::Kind::Stencil) continue;
+    if (interpret) {
+      reference_executor(*node.stencil);
+    } else {
+      compiled_executor(*node.stencil);
     }
   }
   // Build the native module up front when the Jit backend is selected, so
@@ -141,6 +162,7 @@ void Program::precompile() const {
 
 void Program::ensure_jit() const {
   if (jit_) return;
+  require_serial_build();
   // One translation unit for the whole program: collect every stencil in
   // deterministic (state, node) order, deduplicated by identity, so the
   // generated source — and hence the cache key — is stable across runs.

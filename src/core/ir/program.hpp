@@ -199,9 +199,8 @@ class Program {
   void set_run_options(exec::RunOptions run) { run_options_ = run; }
   [[nodiscard]] const exec::RunOptions& run_options() const { return run_options_; }
 
-  /// Drop compiled-stencil caches (call after mutating stencils in place,
-  /// and on per-rank Program copies: copies share the cache shared_ptrs, and
-  /// CompiledStencil's temp pool must not be shared across rank threads).
+  /// Drop compiled-stencil caches (call after mutating stencils in place).
+  /// Copies share the cached executors, which are immutable once built.
   void invalidate_compiled() const {
     compiled_.clear();
     reference_.clear();
@@ -214,12 +213,21 @@ class Program {
   /// wall-clock).
   void precompile() const;
 
+  /// Warm the executors state `index` needs, on the calling thread. Once a
+  /// state is prepared, any number of threads may execute it at once (on
+  /// distinct catalogs): execute_state then only reads the caches. A cache
+  /// miss inside a parallel region is refused with an error.
+  void prepare_state(int index) const;
+
  private:
   /// Find-or-build the cached executor of one stencil (keyed by identity).
   const exec::RefExecutor& reference_executor(const dsl::StencilFunc& stencil) const;
   const std::shared_ptr<exec::CompiledStencil>& compiled_executor(
       const dsl::StencilFunc& stencil) const;
   void ensure_jit() const;
+  /// Refuse to build an executor inside a parallel region (the caches are
+  /// not guarded; prepare_state builds them before a fork).
+  static void require_serial_build();
   void exec_cf(const CFNode& node, FieldCatalog& catalog, const exec::LaunchDomain& dom,
                const HaloHandler& halo) const;
   void exec_state(const State& state, FieldCatalog& catalog, const exec::LaunchDomain& dom,
@@ -234,8 +242,8 @@ class Program {
   /// Executor caches keyed by StencilFunc identity.
   mutable std::map<const dsl::StencilFunc*, std::shared_ptr<exec::CompiledStencil>> compiled_;
   mutable std::map<const dsl::StencilFunc*, std::shared_ptr<exec::RefExecutor>> reference_;
-  /// Native-kernel module for the Jit backend (one per Program copy: its
-  /// scratch buffer, like the tape temp pool, must not cross rank threads).
+  /// Native-kernel module for the Jit backend, shared by copies like the
+  /// compiled executors.
   mutable std::shared_ptr<exec::jit::JitProgram> jit_;
 };
 

@@ -75,10 +75,11 @@ void EnsembleRunner<Model>::step() {
 
 /// The batched sweep: one pass of the lockstep scheduler with the chunk's
 /// members folded inside every phase. Each member executes the same states
-/// in the same order against its own program copy (executor pointer caches
-/// and JIT handles stay per member), so every member's store sequence is
-/// identical to its solo run and the batched result is bitwise equal by
-/// construction.
+/// in the same order against its own program, and a compute state runs
+/// every (member, rank) side on the team, each side writing only its own
+/// member's fields. Every member's store sequence is
+/// therefore identical to its solo run, and the batched result is bitwise
+/// equal by construction.
 template <class Model>
 void EnsembleRunner<Model>::step_chunk(int mlo, int mhi) {
   std::vector<const ir::Program*> programs;

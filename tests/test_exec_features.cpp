@@ -1,13 +1,19 @@
 // Focused tests for the executor features the FV3 port depends on: per-call
 // extended compute domains (DomainExt), single-level (2-D) field broadcast,
-// interface-field interval clipping, and temporary pooling.
+// interface-field interval clipping, and the per-thread temporary arena.
 
 #include <gtest/gtest.h>
 
 #include "core/dsl/builder.hpp"
+#include "core/exec/extents.hpp"
 #include "core/exec/interpreter.hpp"
 #include "core/exec/tape.hpp"
+#include "core/ir/program.hpp"
 #include "core/util/rng.hpp"
+#include "core/verify/verify.hpp"
+#include "fv3/stencils/damping.hpp"
+#include "fv3/stencils/fv_tp2d.hpp"
+#include "fv3/stencils/remap.hpp"
 
 namespace cyclone::exec {
 namespace {
@@ -152,19 +158,172 @@ TEST(TempPooling, RepeatedRunsReuseAndStayCorrect) {
   cat.create("out", 8, 8, 3, HaloSpec{2, 2});
   in_f.fill_with([](int i, int, int) { return static_cast<double>(i); });
 
+  // Repeated launches reuse the thread's arena: it stops growing after the
+  // first, and every launch computes the same values.
   FieldD first("first", 8, 8, 3, HaloSpec{2, 2});
   cs.run(cat, LaunchDomain{8, 8, 3});
   first.copy_from(cat.at("out"));
+  const size_t capacity = Workspace::local().temp_capacity();
+  EXPECT_GT(capacity, 0u);
   for (int rep = 0; rep < 4; ++rep) cs.run(cat, LaunchDomain{8, 8, 3});
+  EXPECT_EQ(Workspace::local().temp_capacity(), capacity);
   EXPECT_EQ(FieldD::max_abs_diff(first, cat.at("out")), 0.0);
 
-  // A geometry change rebuilds the pool rather than corrupting it.
+  // A smaller geometry is cut from the same arena.
   FieldCatalog small;
   auto& sin_f = small.create("in", 4, 4, 2, HaloSpec{2, 2});
   small.create("out", 4, 4, 2, HaloSpec{2, 2});
   sin_f.fill(1.0);
   cs.run(small, LaunchDomain{4, 4, 2});
   EXPECT_DOUBLE_EQ(small.at("out")(1, 1, 1), 4.0);
+  EXPECT_EQ(Workspace::local().temp_capacity(), capacity);
+}
+
+TEST(Workspace, InterleavedLaunchesMatchInterpreter) {
+  // Stencils with different temporary halos and k extents take turns in one
+  // thread's arena, each reading temporaries the previous one left behind
+  // in the same memory: fv_tp_2d (eight temporaries with halos, launched
+  // with a face-row extension), remap_field (an interface temporary) and a
+  // temporary read at (-1, 0). Three geometries, the last a repeat of the
+  // first after a larger one grew the arena.
+  StencilBuilder b("shift");
+  auto in = b.field("in");
+  auto out = b.field("out");
+  auto t = b.temp("t");
+  b.parallel().full().assign(t, E(in) * 3.0 - 1.0).assign(out, t(-1, 0) * 0.5 + E(t));
+
+  ir::Program prog("interleaved");
+  prog.append_state(
+      ir::State{"fvt", {fv3::fv_tp2d_node("fvt", "q", "fx", "fy", sched::Schedule{})}});
+  StencilArgs remap_args;
+  remap_args.bind["q"] = "qr";
+  prog.append_state(ir::State{
+      "remap", {ir::SNode::make_stencil("remap", fv3::build_remap_field(), remap_args)}});
+  prog.append_state(ir::State{"shift", {ir::SNode::make_stencil("shift", b.build())}});
+  prog.control_flow() = ir::CFNode::sequence({ir::CFNode::loop(
+      "rep", 2,
+      {ir::CFNode::state_ref(0), ir::CFNode::state_ref(1), ir::CFNode::state_ref(2)})});
+  for (const char* name : {"pe", "pe_ref"}) {
+    prog.set_field_meta(name, ir::FieldMeta{ir::FieldKind::Interface3D});
+  }
+  ir::Program ref = prog;
+  RunOptions interp;
+  interp.backend = ExecBackend::Interpreter;
+  ref.set_run_options(interp);
+  RunOptions one;
+  one.num_threads = 1;
+  prog.set_run_options(one);
+
+  for (const LaunchDomain& dom : {LaunchDomain{16, 12, 6}, LaunchDomain{24, 20, 9},
+                                  LaunchDomain{16, 12, 6}}) {
+    FieldCatalog got = verify::make_test_catalog(prog, prog, dom, 0xA7E4A);
+    FieldCatalog want = verify::make_test_catalog(prog, prog, dom, 0xA7E4A);
+    prog.execute(got, dom);
+    ref.execute(want, dom);
+    for (const auto& name : want.names()) {
+      const auto div = verify::compare_fields_bitwise(name, got.at(name), want.at(name));
+      EXPECT_TRUE(div.ok) << name << " at " << dom.ni << "x" << dom.nj << "x" << dom.nk;
+    }
+  }
+}
+
+TEST(Workspace, UnwrittenTemporaryCellsReadZero) {
+  // A fresh temporary reads 0 where no statement wrote it. Each stencil
+  // below reads such cells and runs right after "dirty" has filled the
+  // same arena memory with 7.5: a region-only write read over the whole
+  // domain, a read before the first write, and a level gap between write
+  // intervals. A FORWARD recurrence that writes every level it reads,
+  // fillz (a sweep reading the level above before a later statement writes
+  // this one) and fv_tp_2d need no zeroing.
+  StencilBuilder dirty("dirty");
+  {
+    auto in = dirty.field("in");
+    auto out = dirty.field("out_d");
+    auto c = dirty.parallel().full();
+    for (const char* name : {"d0", "d1", "d2", "d3"}) {
+      auto d = dirty.temp(name);
+      c.assign(d, E(in) * 0.0 + 7.5).assign(out, d(3, 0) + d(-3, 0) + d(0, 3) + d(0, -3));
+    }
+  }
+  StencilBuilder region("region");
+  {
+    auto in = region.field("in");
+    auto out = region.field("out_r");
+    auto r = region.temp("r");
+    region.parallel().full().assign_in(dsl::region_i_start(2), r, E(in) + 1.0).assign(
+        out, r(1, 0) + E(r));
+  }
+  StencilBuilder early("early");
+  {
+    auto in = early.field("in");
+    auto out = early.field("out_e");
+    auto t = early.temp("t");
+    early.parallel().full().assign(out, E(t) + E(in)).assign(t, E(in) * 2.0);
+  }
+  StencilBuilder gap("gap");
+  {
+    auto in = gap.field("in");
+    auto out = gap.field("out_g");
+    auto g = gap.temp("g");
+    auto c = gap.parallel();
+    c.interval(dsl::first_levels(1)).assign(g, E(in));
+    c.interval(dsl::last_levels(1)).assign(g, E(in) - 1.0);
+    gap.parallel().full().assign(out, E(g));
+  }
+  StencilBuilder sweep("sweep");
+  {
+    auto in = sweep.field("in");
+    auto out = sweep.field("out_s");
+    auto s = sweep.temp("s");
+    auto c = sweep.forward();
+    c.interval(dsl::first_levels(1)).assign(s, E(in));
+    c.interval(dsl::make_interval(dsl::KBound{1, false}, dsl::KBound{0, true}))
+        .assign(s, s(0, 0, -1) * 0.5 + E(in));
+    sweep.parallel().full().assign(out, E(s));
+  }
+  const dsl::StencilFunc filler = dirty.build();
+  const std::vector<dsl::StencilFunc> readers{region.build(), early.build(), gap.build(),
+                                              sweep.build()};
+  const auto zeroed = [](const dsl::StencilFunc& f, const std::string& temp) {
+    return compute_temp_allocs(f).at(temp).zero;
+  };
+  EXPECT_TRUE(zeroed(readers[0], "r"));
+  EXPECT_TRUE(zeroed(readers[1], "t"));
+  EXPECT_TRUE(zeroed(readers[2], "g"));
+  EXPECT_FALSE(zeroed(readers[3], "s"));
+  EXPECT_FALSE(zeroed(filler, "d0"));
+  for (const dsl::StencilFunc& f : {fv3::build_fv_tp2d(), fv3::build_fillz()}) {
+    for (const auto& [name, ta] : compute_temp_allocs(f)) {
+      EXPECT_FALSE(ta.zero) << f.name() << " temporary " << name;
+    }
+  }
+
+  ir::Program prog("unwritten");
+  std::vector<ir::CFNode> order;
+  for (const dsl::StencilFunc& f : readers) {
+    order.push_back(ir::CFNode::state_ref(prog.append_state(
+        ir::State{"dirty_" + f.name(), {ir::SNode::make_stencil("dirty", filler)}})));
+    order.push_back(ir::CFNode::state_ref(
+        prog.append_state(ir::State{f.name(), {ir::SNode::make_stencil(f.name(), f)}})));
+  }
+  prog.control_flow() = ir::CFNode::sequence({ir::CFNode::loop("rep", 2, order)});
+  ir::Program ref = prog;
+  RunOptions interp;
+  interp.backend = ExecBackend::Interpreter;
+  ref.set_run_options(interp);
+  RunOptions one;
+  one.num_threads = 1;
+  prog.set_run_options(one);
+
+  const LaunchDomain dom{12, 10, 5};
+  FieldCatalog got = verify::make_test_catalog(prog, prog, dom, 0x2E70);
+  FieldCatalog want = verify::make_test_catalog(prog, prog, dom, 0x2E70);
+  prog.execute(got, dom);
+  ref.execute(want, dom);
+  for (const auto& name : want.names()) {
+    const auto div = verify::compare_fields_bitwise(name, got.at(name), want.at(name));
+    EXPECT_TRUE(div.ok) << name;
+  }
 }
 
 }  // namespace

@@ -194,6 +194,61 @@ TEST(JitBackend, AliasedSlotBindingTakesTapePathWithSameValues) {
   EXPECT_TRUE(div.ok) << "aliased fallback diverged from tape engine";
 }
 
+TEST(Workspace, SharedExecutorsRunOnATeam) {
+  // One CompiledStencil and one JitProgram, shared by a team that runs them
+  // on distinct catalogs of different sizes. Every launch cuts its
+  // temporaries from its own thread's arena, so each result equals a
+  // serial launch bit for bit; every third launch binds both formals to
+  // one field, and fallbacks() counts exactly those.
+  if (!have_compiler()) GTEST_SKIP() << "no host compiler";
+  dsl::StencilBuilder b("cross_tmp");
+  auto in = b.field("in");
+  auto out = b.field("out");
+  auto t = b.temp("t");
+  b.parallel().full().assign(t, dsl::E(in) * 2.0 + 1.0).assign(
+      out, t(1, 0) + t(-1, 0) + in(0, 1) - in(0, -1));
+  auto cs = std::make_shared<exec::CompiledStencil>(b.build());
+  KernelCache cache(fresh_dir("team"));
+  auto jp = exec::jit::JitProgram::build("team", {{"cross_tmp", cs}}, cache);
+  ASSERT_TRUE(jp->native()) << jp->error();
+
+  const int n = 12;
+  std::vector<exec::StencilArgs> args(n);
+  std::vector<exec::LaunchDomain> doms;
+  std::vector<FieldCatalog> jit_cats, tape_cats, want;
+  long aliased = 0;
+  for (int i = 0; i < n; ++i) {
+    if (i % 3 == 0) {
+      args[i].bind = {{"in", "f"}, {"out", "f"}};
+      ++aliased;
+    }
+    doms.push_back(exec::LaunchDomain{6 + i, 5 + i % 4, 2 + i % 3});
+    ir::Program p("team");
+    p.append_state(ir::State{"s", {ir::SNode::make_stencil("s", cs->stencil(), args[i])}});
+    const uint64_t seed = Rng::mix(0x7EA4, static_cast<uint64_t>(i));
+    jit_cats.push_back(verify::make_test_catalog(p, p, doms.back(), seed));
+    tape_cats.push_back(verify::make_test_catalog(p, p, doms.back(), seed));
+    want.push_back(verify::make_test_catalog(p, p, doms.back(), seed));
+    cs->run(want.back(), args[i], doms.back());
+  }
+
+#pragma omp parallel for num_threads(4) schedule(dynamic)
+  for (int i = 0; i < n; ++i) {
+    jp->run(*cs, jit_cats[i], args[i], doms[i], sched::Schedule{}, exec::RunOptions{});
+    cs->run(tape_cats[i], args[i], doms[i]);
+  }
+
+  EXPECT_EQ(jp->fallbacks(), aliased);
+  for (int i = 0; i < n; ++i) {
+    for (const auto& name : want[i].names()) {
+      EXPECT_TRUE(verify::compare_fields_bitwise(name, jit_cats[i].at(name), want[i].at(name)).ok)
+          << "jit launch " << i << " field " << name;
+      EXPECT_TRUE(verify::compare_fields_bitwise(name, tape_cats[i].at(name), want[i].at(name)).ok)
+          << "tape launch " << i << " field " << name;
+    }
+  }
+}
+
 TEST(JitBackend, UnbuildableModuleFallsBackToTape) {
   auto cs = std::make_shared<exec::CompiledStencil>(cross_stencil());
   // A cache rooted somewhere unwritable can never produce a module; the
