@@ -4,13 +4,18 @@
 // one table or figure of the paper (see DESIGN.md experiment index and
 // EXPERIMENTS.md for the recorded outcomes).
 
+#include <sys/utsname.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/exec/engine.hpp"
+#include "core/exec/jit/compiler.hpp"
 #include "core/ir/expand.hpp"
 #include "core/perf/benchjson.hpp"
 #include "core/perf/model.hpp"
@@ -18,7 +23,6 @@
 #include "core/tune/tuner.hpp"
 #include "core/util/strings.hpp"
 #include "core/util/timer.hpp"
-#include "core/verify/verify.hpp"
 #include "fv3/driver.hpp"
 #include "fv3/dyn_core.hpp"
 #include "fv3/init/baroclinic.hpp"
@@ -81,18 +85,53 @@ inline double recv_timeout_seconds(double fallback = 120.0) {
   return v > 0 ? v : fallback;
 }
 
+/// Timed repetitions of every measured bench row, after one untimed
+/// warm-up call (see time_reps in core/util/timer.hpp).
+inline constexpr int kReps = 5;
+
 /// One machine-readable record per measurement. Every record carries the
 /// engine thread count so scaling sweeps can be joined across bench runs.
 /// `extra` is an optional pre-rendered JSON fragment ("\"key\":1,...")
 /// appended to the record — the fault-tolerance rows use it for the
 /// reliability and recovery counters.
 inline void emit_json_record(const char* bench, const std::string& config, int threads,
-                             double seconds, double speedup, const std::string& extra = {}) {
+                             const Timing& timing, double speedup,
+                             const std::string& extra = {}) {
   // Shared formatter (perf/benchjson.hpp): non-finite values render as null
   // instead of printf's "inf"/"nan", which is not JSON — the schema tests in
   // tests/test_perf.cpp then name the rotten field instead of a parse error.
   std::printf("%s\n",
-              perf::format_bench_record(bench, config, threads, seconds, speedup, extra).c_str());
+              perf::format_bench_record(bench, config, threads, timing, speedup, extra).c_str());
+}
+
+/// Print one complete BENCH_*.json snapshot (schema of perf/benchjson.hpp,
+/// validated by tests/test_perf.cpp): provenance, this machine, and one
+/// record per line. The `command` field is the argv that produced it.
+inline void print_snapshot(const std::string& bench, const std::string& description,
+                           const std::string& generated, const std::string& git_sha,
+                           int argc, char** argv, const std::string& config,
+                           const std::vector<std::string>& records) {
+  std::string command = std::filesystem::path(argv[0]).filename().string();
+  for (int a = 1; a < argc; ++a) {
+    command += ' ';
+    command += argv[a];
+  }
+  utsname uts{};
+  uname(&uts);
+  std::printf("{\n  \"bench\": \"%s\",\n  \"description\": \"%s\",\n", bench.c_str(),
+              description.c_str());
+  std::printf("  \"generated\": \"%s\",\n  \"git_sha\": \"%s\",\n  \"command\": \"%s\",\n",
+              generated.c_str(), git_sha.c_str(), command.c_str());
+  std::printf(
+      "  \"machine\": {\n    \"os\": \"%s %s %s\",\n    \"cpus\": %u,\n"
+      "    \"toolchain\": \"%s\"\n  },\n",
+      uts.sysname, uts.release, uts.machine, std::thread::hardware_concurrency(),
+      exec::jit::toolchain_fingerprint().c_str());
+  std::printf("  \"config\": \"%s\",\n  \"records\": [\n", config.c_str());
+  for (size_t i = 0; i < records.size(); ++i) {
+    std::printf("    %s%s\n", records[i].c_str(), i + 1 < records.size() ? "," : "");
+  }
+  std::printf("  ]\n}\n");
 }
 
 inline void print_rule(int width = 96) {
@@ -104,31 +143,6 @@ inline void print_header(const std::string& title) {
   print_rule();
   std::printf("%s\n", title.c_str());
   print_rule();
-}
-
-/// Measured wall time of one whole-program execution under the given run
-/// options (backend + team size; seeded synthetic catalog). precompile()
-/// runs first so on the JIT backend codegen and the host compiler stay off
-/// the measured path, then one warm-up execution builds executor caches and
-/// temporary pools.
-inline double measure_program(const ir::Program& prog, const exec::LaunchDomain& dom,
-                              const exec::RunOptions& run) {
-  ir::Program p = verify::without_callbacks(prog);
-  p.set_run_options(run);
-  p.precompile();
-  FieldCatalog cat = verify::make_test_catalog(p, p, dom, /*seed=*/42);
-  p.execute(cat, dom);
-  WallTimer timer;
-  p.execute(cat, dom);
-  return timer.seconds();
-}
-
-/// Measured wall time on the default (OpenMP) engine at the given team size.
-inline double measure_program(const ir::Program& prog, const exec::LaunchDomain& dom,
-                              int threads) {
-  exec::RunOptions run;
-  run.num_threads = threads;
-  return measure_program(prog, dom, run);
 }
 
 /// Modeled GPU time of a node list at a domain.

@@ -12,14 +12,15 @@
 // exit — that is what "run N solo forecasts" costs. The batched number times
 // EnsembleRunner construction + init + run for the same roster, in-process.
 // Both advance bitwise-identical members (tests/test_ensemble.cpp pins
-// that), so the comparison is pure scheduling/amortization.
+// that), so the comparison is pure scheduling/amortization. Each is the
+// median of repeated runs after one warm-up run, which also fills the JIT
+// kernel cache, so the host compiler stays out of the timed runs.
 //
 // With --json, prints one complete BENCH_*.json snapshot (schema of
 // perf/benchjson.hpp, validated by tests/test_perf.cpp) to stdout; provenance
 // fields come from --git-sha / --generated.
 
 #include <spawn.h>
-#include <sys/utsname.h>
 #include <sys/wait.h>
 
 #include <cmath>
@@ -27,12 +28,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/exec/jit/compiler.hpp"
-#include "core/perf/benchjson.hpp"
 #include "ensemble/ensemble.hpp"
 #include "ensemble/service.hpp"
 #include "ensemble/verify_ensemble.hpp"
@@ -63,9 +61,8 @@ int run_solo_child(uint64_t seed, int index, int steps, int npx, const std::stri
   return std::isfinite(h.data()[0]) ? 0 : 3;
 }
 
-double spawn_solo_members(int members, int steps, int npx, const std::string& backend,
-                          int threads) {
-  WallTimer timer;
+void spawn_solo_members(int members, int steps, int npx, const std::string& backend,
+                        int threads) {
   for (int m = 0; m < members; ++m) {
     std::vector<std::string> args = {"/proc/self/exe",
                                      "--solo-child",
@@ -93,11 +90,9 @@ double spawn_solo_members(int members, int steps, int npx, const std::string& ba
       std::exit(2);
     }
   }
-  return timer.seconds();
 }
 
-double run_batched(int members, int steps, int npx, const exec::RunOptions& run) {
-  WallTimer timer;
+void run_batched(int members, int steps, int npx, const exec::RunOptions& run) {
   ensemble::EnsembleOptions opts;
   opts.members = ensemble::default_members(kBenchSeed, members);
   opts.run = run;
@@ -105,7 +100,6 @@ double run_batched(int members, int steps, int npx, const exec::RunOptions& run)
       ensemble::standard_swe_config(npx, /*ntracers=*/2), std::move(opts));
   runner.init("hill");
   runner.run(steps);
-  return timer.seconds();
 }
 
 std::vector<int> parse_member_counts(const char* csv) {
@@ -134,7 +128,7 @@ int main(int argc, char** argv) {
   std::string git_sha = "unreleased";
   std::string generated = "unknown";
   std::vector<const char*> positional;
-  exec::RunOptions run = cyclone::bench::parse_run_options(argc, argv, &positional);
+  exec::RunOptions run = bench::parse_run_options(argc, argv, &positional);
   for (size_t a = 0; a < positional.size(); ++a) {
     const char* arg = positional[a];
     auto value = [&]() -> const char* {
@@ -166,15 +160,17 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> records;
   if (!json) {
-    cyclone::bench::print_header("batched ensemble vs N solo processes (swe c" +
+    bench::print_header("batched ensemble vs N solo processes (swe c" +
                                  std::to_string(npx) + ", " + backend + ", " +
                                  std::to_string(steps) + " steps)");
     std::printf("%8s %14s %14s %10s %18s\n", "members", "batched", "N processes", "speedup",
                 "member-steps/sec");
   }
   for (const int members : member_counts) {
-    const double batched = run_batched(members, steps, npx, run);
-    const double solo = spawn_solo_members(members, steps, npx, backend, threads);
+    const Timing batched =
+        time_reps(bench::kReps, [&] { run_batched(members, steps, npx, run); });
+    const Timing solo = time_reps(
+        bench::kReps, [&] { spawn_solo_members(members, steps, npx, backend, threads); });
     const double member_steps = static_cast<double>(members) * steps;
     const std::string config =
         "swe_c" + std::to_string(npx) + "_m" + std::to_string(members);
@@ -182,41 +178,28 @@ int main(int argc, char** argv) {
     std::snprintf(extra, sizeof extra,
                   "\"members\":%d,\"steps\":%d,\"backend\":\"%s\",\"mode\":\"batched\","
                   "\"member_steps_per_sec\":%.3f,\"solo_member_steps_per_sec\":%.3f",
-                  members, steps, backend, member_steps / batched, member_steps / solo);
+                  members, steps, backend, member_steps / batched.median,
+                  member_steps / solo.median);
     records.push_back(perf::format_bench_record("ensemble_batched", config, threads, batched,
-                                                solo / batched, extra));
+                                                solo.median / batched.median, extra));
     if (!json) {
       std::printf("%8d %14s %14s %9.2fx %18.1f\n", members,
-                  str::human_time(batched).c_str(), str::human_time(solo).c_str(),
-                  solo / batched, member_steps / batched);
+                  str::human_time(batched.median).c_str(), str::human_time(solo.median).c_str(),
+                  solo.median / batched.median, member_steps / batched.median);
       std::printf("%s\n", records.back().c_str());
     }
   }
 
   if (json) {
-    utsname uts{};
-    uname(&uts);
-    std::printf("{\n  \"bench\": \"ensemble_batched\",\n");
-    std::printf(
-        "  \"description\": \"Measured wall time of the batched ensemble runtime "
-        "(EnsembleRunner, member-major arena, one in-process roster) vs launching one solo "
-        "process per member via /proc/self/exe. Same members bitwise — see "
-        "tests/test_ensemble.cpp; speedup is solo/batched, and member_steps_per_sec is the "
-        "serving throughput the forecast service schedules against.\",\n");
-    std::printf("  \"generated\": \"%s\",\n  \"git_sha\": \"%s\",\n", generated.c_str(),
-                git_sha.c_str());
-    std::printf("  \"command\": \"bench_ensemble --json --backend %s --threads %d --steps %d\",\n",
-                backend, threads, steps);
-    std::printf(
-        "  \"machine\": {\n    \"os\": \"%s %s %s\",\n    \"cpus\": %u,\n"
-        "    \"toolchain\": \"%s\"\n  },\n",
-        uts.sysname, uts.release, uts.machine, std::thread::hardware_concurrency(),
-        exec::jit::toolchain_fingerprint().c_str());
-    std::printf("  \"config\": \"swe_c%d\",\n  \"records\": [\n", npx);
-    for (size_t i = 0; i < records.size(); ++i) {
-      std::printf("    %s%s\n", records[i].c_str(), i + 1 < records.size() ? "," : "");
-    }
-    std::printf("  ]\n}\n");
+    bench::print_snapshot(
+        "ensemble_batched",
+        "Measured wall time of the batched ensemble runtime (EnsembleRunner, member-major "
+        "arena, one in-process roster) vs launching one solo process per member via "
+        "/proc/self/exe, each the median of repeated runs after a warm-up run. Same members "
+        "bitwise — see tests/test_ensemble.cpp; speedup is solo/batched, and "
+        "member_steps_per_sec is the serving throughput the forecast service schedules "
+        "against.",
+        generated, git_sha, argc, argv, "swe_c" + std::to_string(npx), records);
   }
   return 0;
 }

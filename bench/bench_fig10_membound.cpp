@@ -4,75 +4,14 @@
 // program (before fine tuning), then after the full pipeline, where most
 // kernels should sit above 60% of peak (Sec. VI-C).
 
-#include <sys/utsname.h>
-
 #include <fstream>
-#include <thread>
 
 #include "bench_common.hpp"
-#include "core/exec/jit/compiler.hpp"
 #include "core/xform/passes.hpp"
 
 using namespace cyclone;
 
-namespace {
-
-/// Measured step time of the dycore per execution backend at a reduced
-/// configuration (the reference interpreter has to finish too). Emits one
-/// machine-context record followed by one record per backend, with the
-/// interpreter as the speedup baseline — the source of the committed
-/// BENCH_fig10.json snapshot.
-void backend_ladder(int threads) {
-  constexpr int kNpx = 24, kNpz = 16;
-  fv3::FvConfig cfg;
-  cfg.npx = kNpx;
-  cfg.npz = kNpz;
-  cfg.ntracers = 2;
-  grid::Partitioner part(cfg.npx, 1, 1);
-  fv3::ModelState state(cfg, part, 0);
-  ir::Program prog = fv3::build_dycore_program(state);
-  const exec::LaunchDomain dom = state.domain();
-
-  utsname uts{};
-  uname(&uts);
-  std::printf(
-      "{\"bench\":\"fig10_backends\",\"config\":\"c%dz%d\",\"machine\":\"%s %s %s\","
-      "\"cpus\":%u,\"toolchain\":\"%s\"}\n",
-      kNpx, kNpz, uts.sysname, uts.release, uts.machine,
-      std::thread::hardware_concurrency(), exec::jit::toolchain_fingerprint().c_str());
-
-  bench::print_rule();
-  std::printf("measured dycore step by backend (c%dz%d, %d threads):\n", kNpx, kNpz, threads);
-  double interp = 0;
-  for (const auto backend : {exec::ExecBackend::Interpreter, exec::ExecBackend::OpenMP,
-                             exec::ExecBackend::Jit}) {
-    exec::RunOptions run;
-    run.backend = backend;
-    run.num_threads = threads;
-    const double t = bench::measure_program(prog, dom, run);
-    if (backend == exec::ExecBackend::Interpreter) interp = t;
-    std::printf("  %-8s %12s %9.2fx\n", exec::backend_name(backend),
-                str::human_time(t).c_str(), interp / t);
-    bench::emit_json_record("fig10_backends", std::string("c") + std::to_string(kNpx) + "z" +
-                                                  std::to_string(kNpz),
-                            threads, t, interp / t,
-                            std::string("\"backend\":\"") + exec::backend_name(backend) + "\"");
-  }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::vector<const char*> positional;
-  const exec::RunOptions run = bench::parse_run_options(argc, argv, &positional);
-  bool backends_only = false;
-  for (const char* arg : positional) {
-    if (std::strcmp(arg, "--backends") == 0) backends_only = true;
-  }
-  if (backends_only) {
-    backend_ladder(exec::resolved_num_threads(run));
-    return 0;
-  }
+int main() {
   bench::print_header("Fig. 10 — Model-augmented kernel runtimes (P100 model)");
 
   const fv3::FvConfig cfg = bench::paper_config();
@@ -132,18 +71,5 @@ int main(int argc, char** argv) {
   std::printf(
       "Paper: the initial cycle's worst kernels sit at 20-60%% of peak; after\n"
       "further cycles most kernels are above 60%%.\n");
-
-  // Measured engine speedup of the fully tuned program when a team was
-  // requested (serial baseline first; both runs are bitwise identical).
-  const int threads = exec::resolved_num_threads(run);
-  if (threads > 1) {
-    const double t1 = bench::measure_program(prog, dom, 1);
-    const double tn = bench::measure_program(prog, dom, threads);
-    bench::print_rule();
-    std::printf("measured engine step: 1 thread %s, %d threads %s (%.2fx)\n",
-                str::human_time(t1).c_str(), threads, str::human_time(tn).c_str(), t1 / tn);
-    bench::emit_json_record("fig10_membound", "c192z80", 1, t1, 1.0);
-    bench::emit_json_record("fig10_membound", "c192z80", threads, tn, t1 / tn);
-  }
   return 0;
 }

@@ -1,8 +1,8 @@
 // Sec. VIII-A reproduction: the memory-bandwidth characterization. A copy
 // stencil (one read, one write) on the target domain must reach close to
 // each machine's peak; the ratio of the two peaks bounds the attainable
-// memory-bound speedup (the paper's 11.45x). A measured host-bandwidth
-// column shows the real tape executor streaming on this machine.
+// memory-bound speedup (the paper's 11.45x). The measured host copy roof is
+// perfbench's roof.copy_gbps.
 
 #include "bench_common.hpp"
 #include "core/dsl/builder.hpp"
@@ -38,25 +38,10 @@ int main() {
                 machine.dram_bw / 1e9, achieved / 1e9, 100.0 * achieved / machine.dram_bw);
   }
 
-  // Measured on this host: the tape executor streaming the copy stencil.
-  {
-    FieldCatalog cat;
-    cat.create("in", n, n, nk).fill(1.0);
-    cat.create("out", n, n, nk);
-    exec::CompiledStencil cs(b.build());
-    cs.run(cat, dom);  // warm up + pool temps
-    const int reps = 5;
-    WallTimer timer;
-    for (int r = 0; r < reps; ++r) cs.run(cat, dom);
-    const double host_bw = bytes * reps / timer.seconds();
-    std::printf("%-22s %14s %13.1f GB/s %9s\n", "this host (measured)", "-", host_bw / 1e9,
-                "-");
-  }
-
   bench::print_rule();
   std::printf(
       "max memory-bound GPU-vs-CPU speedup: %.2fx (paper: 489.83 GiB/s vs 40.99 GiB/s\n"
-      "= 11.45x). Both copy runs sit near peak, confirming the domain is large\n"
+      "= 11.45x). Both modeled copy runs sit near peak, confirming the domain is large\n"
       "enough to sustain full bandwidth.\n",
       gpu_bw / cpu_bw);
   return 0;

@@ -41,11 +41,7 @@ int main() {
     cat.create("vort", cfg.npx, cfg.npx, cfg.npz)
         .fill_with([&](int, int, int) { return rng.uniform(-1e-4, 1e-4); });
     exec::CompiledStencil cs(*n.stencil);
-    cs.run(cat, n.args, dom);  // warm-up
-    WallTimer t;
-    const int reps = 3;
-    for (int r = 0; r < reps; ++r) cs.run(cat, n.args, dom);
-    return t.seconds() / reps;
+    return time_reps(bench::kReps, [&] { cs.run(cat, n.args, dom); }).median;
   };
 
   const perf::KernelTime before = kernel_time(node);

@@ -11,9 +11,7 @@
 
 using namespace cyclone;
 
-int main(int argc, char** argv) {
-  const exec::RunOptions run = bench::parse_run_options(argc, argv);
-  const int threads = exec::resolved_num_threads(run);
+int main() {
   bench::print_header("Table II (right) — Finite Volume Transport fv_tp_2d");
 
   const int sizes[] = {128, 192, 256, 384};
@@ -45,29 +43,15 @@ int main(int argc, char** argv) {
     cat.at("q").fill_with([&](int, int, int) { return rng.uniform(0.0, 1.0); });
     cat.at("crx").fill(0.2);
     cat.at("cry").fill(-0.2);
-    WallTimer timer;
-    baseline::fv_tp_2d(cat, dom, "q", "fx", "fy");
-    baseline::flux_update(cat, dom, "q", "fx", "fy");
-    const double measured = timer.seconds();
+    const Timing measured = time_reps(bench::kReps, [&] {
+      baseline::fv_tp_2d(cat, dom, "q", "fx", "fy");
+      baseline::flux_update(cat, dom, "q", "fx", "fy");
+    });
 
     std::printf("%4dx%4dx%-3d (%3.2fx) | %12s %7.2fx | %12s %7.2fx | %8.2fx | %12s\n", n, n,
                 npz, static_cast<double>(n) * n / (128.0 * 128.0),
                 str::human_time(cpu).c_str(), cpu / cpu_base, str::human_time(gpu).c_str(),
-                gpu / gpu_base, cpu / gpu, str::human_time(measured).c_str());
-
-    // Engine wall time, serial vs the requested team, on the same node pair.
-    ir::Program eng;
-    eng.append_state(ir::State{"s0", nodes});
-    const std::string config = "fvt_c" + std::to_string(n) + "z" + std::to_string(npz);
-    const double eng1 = bench::measure_program(eng, dom, 1);
-    bench::emit_json_record("table2_fvt", config, 1, eng1, 1.0);
-    if (threads > 1) {
-      const double engn = bench::measure_program(eng, dom, threads);
-      std::printf("%18s | engine measured: 1 thread %s, %d threads %s (%.2fx)\n", "",
-                  str::human_time(eng1).c_str(), threads, str::human_time(engn).c_str(),
-                  eng1 / engn);
-      bench::emit_json_record("table2_fvt", config, threads, engn, eng1 / engn);
-    }
+                gpu / gpu_base, cpu / gpu, str::human_time(measured.median).c_str());
   }
   bench::print_rule();
   std::printf(

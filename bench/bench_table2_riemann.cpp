@@ -47,14 +47,13 @@ int main() {
     cat.at("delz").fill_with([&](int, int, int) { return rng.uniform(200.0, 600.0); });
     cat.at("w").fill_with([&](int, int, int) { return rng.uniform(-2.0, 2.0); });
     cat.at("delp").fill(1.2e4);
-    WallTimer timer;
-    baseline::riem_solver_c(cat, dom, cfg, dta);
-    const double measured = timer.seconds();
+    const Timing measured =
+        time_reps(bench::kReps, [&] { baseline::riem_solver_c(cat, dom, cfg, dta); });
 
     std::printf("%4dx%4dx%-3d (%3.2fx) | %12s %7.2fx | %12s %7.2fx | %8.2fx | %12s\n", n, n,
                 npz, static_cast<double>(n) * n / (128.0 * 128.0),
                 str::human_time(cpu).c_str(), cpu / cpu_base, str::human_time(gpu).c_str(),
-                gpu / gpu_base, cpu / gpu, str::human_time(measured).c_str());
+                gpu / gpu_base, cpu / gpu, str::human_time(measured.median).c_str());
   }
   bench::print_rule();
   std::printf(

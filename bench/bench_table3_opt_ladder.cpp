@@ -11,17 +11,11 @@
 //   Cycle 2: reschedule (autotune pass 2)   4.816 s  3.40x
 //            region pruning                 4.77 s   3.43x
 //            transfer tuning                4.61 s   3.55x
-
 //
-// A final measured section runs the schedule-tuned dycore at a reduced
-// configuration on each real execution backend (interpreter baseline, tape,
-// OpenMP engine, native JIT) — the paper's "performance backend" column,
-// with actual wall clock instead of the model.
+// Measured step times per execution backend come from perfbench/run.py.
 
 #include "bench_common.hpp"
 #include "core/xform/passes.hpp"
-#include "swe/init.hpp"
-#include "swe/swe_core.hpp"
 
 using namespace cyclone;
 
@@ -39,18 +33,7 @@ void row(const char* cycle, const char* name, double t, double fortran) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::vector<const char*> positional;
-  const exec::RunOptions run = bench::parse_run_options(argc, argv, &positional);
-  // --tracers N scales the advected-tracer batch of the measured sections
-  // (the paper's production runs carry 35 tracers; default stays small so
-  // the interpreter column finishes quickly).
-  int tracers = 2;
-  for (size_t a = 0; a < positional.size(); ++a) {
-    if (std::strcmp(positional[a], "--tracers") == 0 && a + 1 < positional.size()) {
-      tracers = std::atoi(positional[++a]);
-    }
-  }
+int main() {
   bench::print_header("Table III — Dynamical Core Optimization (6-node run, 192x192x80/node)");
 
   const fv3::FvConfig cfg = bench::paper_config();
@@ -111,76 +94,5 @@ int main(int argc, char** argv) {
       "Paper ladder: 16.36 s -> 10.87 (1.50x) -> 5.56 (2.94x) -> 5.45 -> 5.35 ->\n"
       "4.82 -> 4.816 -> 4.77 -> 4.61 s (3.55x). Shape: the schedule heuristics give\n"
       "the big jump, later stages add smaller but monotone improvements.\n");
-
-  // Measured backend column: same ladder endpoint (schedule-tuned dycore)
-  // at a configuration the reference interpreter can finish.
-  {
-    constexpr int kNpx = 24, kNpz = 16;
-    fv3::FvConfig mcfg;
-    mcfg.npx = kNpx;
-    mcfg.npz = kNpz;
-    mcfg.ntracers = tracers;
-    grid::Partitioner mpart(mcfg.npx, 1, 1);
-    fv3::ModelState mstate(mcfg, mpart, 0);
-    ir::Program mprog = fv3::build_dycore_program(mstate);
-    tune::TuningOptions mtopt;
-    mtopt.dom = mstate.domain();
-    mtopt.machine = perf::p100();
-    tune::autotune_schedules(mprog, mtopt);
-
-    const int threads = exec::resolved_num_threads(run);
-    bench::print_rule();
-    std::printf("measured step by backend (tuned schedules, c%dz%d, %d threads):\n", kNpx,
-                kNpz, threads);
-    double interp = 0;
-    for (const auto backend : {exec::ExecBackend::Interpreter, exec::ExecBackend::Tape,
-                               exec::ExecBackend::OpenMP, exec::ExecBackend::Jit}) {
-      exec::RunOptions mrun;
-      mrun.backend = backend;
-      mrun.num_threads = threads;
-      const double t = bench::measure_program(mprog, mstate.domain(), mrun);
-      if (backend == exec::ExecBackend::Interpreter) interp = t;
-      std::printf("  %-8s %12s %9.2fx\n", exec::backend_name(backend),
-                  str::human_time(t).c_str(), interp / t);
-      bench::emit_json_record(
-          "table3_backends", std::string("c") + std::to_string(kNpx) + "z" +
-                                 std::to_string(kNpz) + "t" + std::to_string(tracers),
-          threads, t, interp / t,
-          std::string("\"backend\":\"") + exec::backend_name(backend) + "\"");
-    }
-  }
-
-  // SWE row: the second core through the same ladder endpoint. Pure
-  // horizontal Plane2D stencils, so the tracer batch dominates the step —
-  // the --tracers knob sweeps the paper's Table 3 workload axis directly.
-  {
-    constexpr int kNpx = 48;
-    swe::SweConfig scfg;
-    scfg.npx = kNpx;
-    scfg.ntracers = tracers;
-    grid::Partitioner spart(scfg.npx, 1, 1);
-    swe::SweState sstate(scfg, spart, 0);
-    ir::Program sprog = swe::build_swe_program(sstate);
-
-    const int threads = exec::resolved_num_threads(run);
-    bench::print_rule();
-    std::printf("shallow-water core step by backend (c%d, %d tracers, %d threads):\n", kNpx,
-                tracers, threads);
-    double interp = 0;
-    for (const auto backend : {exec::ExecBackend::Interpreter, exec::ExecBackend::Tape,
-                               exec::ExecBackend::OpenMP, exec::ExecBackend::Jit}) {
-      exec::RunOptions srun;
-      srun.backend = backend;
-      srun.num_threads = threads;
-      const double t = bench::measure_program(sprog, sstate.domain(), srun);
-      if (backend == exec::ExecBackend::Interpreter) interp = t;
-      std::printf("  %-8s %12s %9.2fx\n", exec::backend_name(backend),
-                  str::human_time(t).c_str(), interp / t);
-      bench::emit_json_record(
-          "table3_swe",
-          std::string("c") + std::to_string(kNpx) + "t" + std::to_string(tracers), threads, t,
-          interp / t, std::string("\"backend\":\"") + exec::backend_name(backend) + "\"");
-    }
-  }
   return 0;
 }

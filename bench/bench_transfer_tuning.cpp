@@ -19,14 +19,11 @@
 // With --json, prints one complete BENCH_*.json snapshot (schema of
 // perf/benchjson.hpp, validated by tests/test_perf.cpp) to stdout.
 
-#include <sys/utsname.h>
 #include <unistd.h>
 
 #include <filesystem>
-#include <thread>
 
 #include "bench_common.hpp"
-#include "core/exec/jit/compiler.hpp"
 #include "core/tune/search.hpp"
 #include "core/tune/tunedb.hpp"
 
@@ -36,22 +33,18 @@ namespace {
 
 struct ModeRun {
   std::string mode;
-  double seconds = 0;  ///< wall time until the best config is fully known
-  tune::TuneReport report;
+  Timing time{};  ///< wall time until the best config is fully known
+  tune::TuneReport report{};
 };
 
-ModeRun run_mode(const ir::Program& base, const tune::TuningOptions& topt,
-                 const std::string& mode, bool exhaustive, tune::TuneDb* db) {
+/// Tune a fresh copy of `base`; `db` (nullptr = none) opens the tuning DB.
+tune::TuneReport tune_copy(const ir::Program& base, const tune::TuningOptions& topt,
+                           bool exhaustive, tune::TuneDb* db) {
   ir::Program p = base;
   p.invalidate_compiled();
   tune::TuningOptions o = topt;
   o.exhaustive = exhaustive;
-  WallTimer timer;
-  ModeRun r;
-  r.report = tune::tune_program(p, o, db);
-  r.seconds = timer.seconds();
-  r.mode = mode;
-  return r;
+  return tune::tune_program(p, o, db);
 }
 
 std::string record_extra(const ModeRun& r, const ModeRun& oracle) {
@@ -73,7 +66,7 @@ std::string record_extra(const ModeRun& r, const ModeRun& oracle) {
                 r.report.search.pruned_saturated, r.report.search.pruned_low_gain,
                 r.report.search.transferred,
                 r.report.patterns, r.report.transfer.applied, r.report.schedules_changed,
-                within, r.seconds * 1e3);
+                within, r.time.median * 1e3);
   return buf;
 }
 
@@ -130,16 +123,26 @@ int main(int argc, char** argv) {
           .string();
   std::filesystem::remove(db_path);
 
-  const ModeRun oracle = run_mode(prog, topt, "exhaustive", /*exhaustive=*/true, nullptr);
-  ModeRun guided;
-  ModeRun warm;
-  {
+  // Exhaustive and guided repeat from scratch (each guided run on an empty
+  // DB). The warm run needs the DB the last guided run wrote, so it happens
+  // once and its timing is one sample.
+  ModeRun oracle{"exhaustive"};
+  oracle.time = time_reps(bench::kReps, [&] {
+    oracle.report = tune_copy(prog, topt, /*exhaustive=*/true, nullptr);
+  });
+  ModeRun guided{"guided"};
+  guided.time = time_reps(bench::kReps, [&] {
+    std::filesystem::remove(db_path);
     tune::TuneDb db(db_path);
-    guided = run_mode(prog, topt, "guided", /*exhaustive=*/false, &db);
-  }
+    guided.report = tune_copy(prog, topt, /*exhaustive=*/false, &db);
+  });
+  ModeRun warm{"warm"};
   {
+    WallTimer timer;
     tune::TuneDb db(db_path);
-    warm = run_mode(prog, topt, "warm", /*exhaustive=*/false, &db);
+    warm.report = tune_copy(prog, topt, /*exhaustive=*/false, &db);
+    const double t = timer.seconds();
+    warm.time = Timing{1, t, t, t};
   }
   std::filesystem::remove(db_path);
 
@@ -148,7 +151,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> records;
   for (const ModeRun* r : runs) {
     records.push_back(perf::format_bench_record("transfer_tuning", config + "_" + r->mode,
-                                                threads, r->seconds, r->report.speedup(),
+                                                threads, r->time, r->report.speedup(),
                                                 record_extra(*r, oracle)));
   }
 
@@ -161,7 +164,7 @@ int main(int argc, char** argv) {
       std::printf("%12s %12ld %11ld %10d %10d %8.3fx %14s\n", r->mode.c_str(),
                   r->report.search.candidates, r->report.search.evaluated, r->report.patterns,
                   r->report.transfer.applied, r->report.speedup(),
-                  str::human_time(r->seconds).c_str());
+                  str::human_time(r->time.median).c_str());
     }
     bench::print_rule();
     const double frac = oracle.report.search.evaluated > 0
@@ -178,28 +181,15 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  utsname uts{};
-  uname(&uts);
-  std::printf("{\n  \"bench\": \"transfer_tuning\",\n");
-  std::printf(
-      "  \"description\": \"Time-to-best-config of the Sec. VI-B transfer tuner on the fv3 "
-      "dycore graph: the exhaustive pre-v2 enumeration (oracle), the model-pruned guided "
-      "search, and a warm re-run against the tuning DB the guided run populated. All three "
-      "are scored on the Fig. 10 bandwidth model; within_oracle_pct is the final modeled "
-      "time relative to the oracle's best, and the warm row's evaluated/timed counts pin "
-      "the zero-measurement replay contract (tests/test_tune.cpp).\",\n");
-  std::printf("  \"generated\": \"%s\",\n  \"git_sha\": \"%s\",\n", generated.c_str(),
-              git_sha.c_str());
-  std::printf("  \"command\": \"bench_transfer_tuning --json --npx %d --npz %d\",\n", npx, npz);
-  std::printf(
-      "  \"machine\": {\n    \"os\": \"%s %s %s\",\n    \"cpus\": %u,\n"
-      "    \"toolchain\": \"%s\"\n  },\n",
-      uts.sysname, uts.release, uts.machine, std::thread::hardware_concurrency(),
-      exec::jit::toolchain_fingerprint().c_str());
-  std::printf("  \"config\": \"%s\",\n  \"records\": [\n", config.c_str());
-  for (size_t i = 0; i < records.size(); ++i) {
-    std::printf("    %s%s\n", records[i].c_str(), i + 1 < records.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+  bench::print_snapshot(
+      "transfer_tuning",
+      "Time-to-best-config of the Sec. VI-B transfer tuner on the fv3 dycore graph: the "
+      "exhaustive pre-v2 enumeration (oracle) and the model-pruned guided search, each the "
+      "median of repeated runs after a warm-up run, and one warm re-run against the tuning "
+      "DB the last guided run populated. All three are scored on the Fig. 10 bandwidth "
+      "model; within_oracle_pct is the final modeled time relative to the oracle's best, "
+      "and the warm row's evaluated/timed counts pin the zero-measurement replay contract "
+      "(tests/test_tune.cpp).",
+      generated, git_sha, argc, argv, config, records);
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/util/strings.hpp"
 #include "grid/geometry.hpp"
 
 namespace cyclone::baseline {
@@ -277,7 +278,7 @@ void remap(FieldCatalog& cat, const exec::LaunchDomain& dom, const fv3::FvConfig
 
   // One vertical sweep per remapped field.
   std::vector<std::string> fields = {"u", "v", "w", "pt"};
-  for (int t = 0; t < config.ntracers; ++t) fields.push_back("q" + std::to_string(t));
+  for (int t = 0; t < config.ntracers; ++t) fields.push_back(str::numbered("q", t));
   const FieldD& pe = cat.at("pe");
   const FieldD& pe_ref = cat.at("pe_ref");
   const FieldD& dpr = cat.at("dpr");

@@ -1,4 +1,5 @@
 #include "baseline/step.hpp"
+#include "core/util/strings.hpp"
 
 namespace cyclone::baseline {
 
@@ -65,20 +66,20 @@ void BaselineModel::step() {
 
     // Tracer advection with the last acoustic step's Courant numbers.
     for (int t = 0; t < config_.ntracers; ++t) {
-      exchange_scalar("q" + std::to_string(t));
+      exchange_scalar(str::numbered("q", t));
     }
     exchange_scalar("delp");
     for (auto& st : states_) tracer_2d(st->catalog(), st->domain(), config_);
     if (config_.do_fillz) {
       for (auto& st : states_) {
         for (int t = 0; t < config_.ntracers; ++t) {
-          fillz(st->catalog(), st->domain(), "q" + std::to_string(t));
+          fillz(st->catalog(), st->domain(), str::numbered("q", t));
         }
       }
     }
     if (config_.tracer_diffusion > 0.0) {
       for (int t = 0; t < config_.ntracers; ++t) {
-        const std::string q = "q" + std::to_string(t);
+        const std::string q = str::numbered("q", t);
         for (int sub = 0; sub < config_.tracer_diffusion_ntimes; ++sub) {
           for (auto& st : states_) {
             del2_cubed(st->catalog(), st->domain(), q, config_.tracer_diffusion);

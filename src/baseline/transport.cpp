@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "baseline/detail.hpp"
+#include "core/util/strings.hpp"
 #include "fv3/config.hpp"
 #include "grid/geometry.hpp"
 
@@ -138,7 +139,7 @@ void tracer_2d(FieldCatalog& cat, const exec::LaunchDomain& dom, const fv3::FvCo
     }
   }
   for (int t = 0; t < config.ntracers; ++t) {
-    const std::string name = "q" + std::to_string(t);
+    const std::string name = str::numbered("q", t);
     FieldD& q = cat.at(name);
     FieldD& qm = cat.at("qm");
     const FieldD& delp = cat.at("delp");

@@ -10,19 +10,6 @@ namespace cyclone::comm {
 
 namespace {
 
-void accumulate(ReliabilityCounters& into, const ReliabilityCounters& c) {
-  into.reliable_sends += c.reliable_sends;
-  into.retransmits += c.retransmits;
-  into.corrupt_detected += c.corrupt_detected;
-  into.dups_dropped += c.dups_dropped;
-  into.reorders_healed += c.reorders_healed;
-  into.drops_injected += c.drops_injected;
-  into.dups_injected += c.dups_injected;
-  into.reorders_injected += c.reorders_injected;
-  into.corrupts_injected += c.corrupts_injected;
-  into.delays_injected += c.delays_injected;
-}
-
 double seconds_between(std::chrono::steady_clock::time_point a,
                        std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -327,7 +314,7 @@ bool ElasticRuntime::do_resize(int target, const char* trigger, ElasticReport& r
 
   // Re-roster: tear down the epoch's runtime, recompute tile ownership,
   // rebuild per-rank catalogs, scatter the global snapshot onto them.
-  accumulate(report.channel, rt_->comm().reliability());
+  report.channel += rt_->comm().reliability();
   rt_.reset();
   rebuild_roster(target);
   store_.set_roster(*part_);
@@ -438,7 +425,7 @@ ElasticReport ElasticRuntime::run(int nsteps) {
   }
 
   report.steps_completed = global_step_;
-  accumulate(report.channel, rt_->comm().reliability());
+  report.channel += rt_->comm().reliability();
   report.health = rt_->rank_health();
   return report;
 }
@@ -447,57 +434,28 @@ ElasticReport ElasticRuntime::run(int nsteps) {
 
 std::string elastic_report_to_json(const ElasticReport& report) {
   std::ostringstream os;
-  const auto esc = [](const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        out += ' ';
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  };
   os << "{\"ok\":" << (report.ok ? "true" : "false")
      << ",\"steps_completed\":" << report.steps_completed << ",\"resizes\":" << report.resizes
      << ",\"rebalances\":" << report.rebalances << ",\"rejoins\":" << report.rejoins
      << ",\"deaths\":" << report.deaths << ",\"rejected_resizes\":" << report.rejected_resizes
      << ",\"restarts\":" << report.restarts << ",\"checkpoints\":" << report.checkpoints
      << ",\"rolled_back_steps\":" << report.rolled_back_steps << ",\"failure\":\""
-     << esc(report.failure) << "\"";
+     << json_escape(report.failure) << "\"";
   os << ",\"resize_log\":[";
   for (size_t i = 0; i < report.resize_log.size(); ++i) {
     const ResizeRecord& r = report.resize_log[i];
     if (i) os << ",";
     os << "{\"at_step\":" << r.at_step << ",\"from_ranks\":" << r.from_ranks
-       << ",\"to_ranks\":" << r.to_ranks << ",\"trigger\":\"" << esc(r.trigger)
-       << "\",\"error\":\"" << esc(r.error) << "\",\"snapshot_seconds\":" << r.snapshot_seconds
+       << ",\"to_ranks\":" << r.to_ranks << ",\"trigger\":\"" << json_escape(r.trigger)
+       << "\",\"error\":\"" << json_escape(r.error)
+       << "\",\"snapshot_seconds\":" << r.snapshot_seconds
        << ",\"rebuild_seconds\":" << r.rebuild_seconds
        << ",\"refresh_seconds\":" << r.refresh_seconds
        << ",\"total_seconds\":" << r.total_seconds() << "}";
   }
   os << "]";
-  const ReliabilityCounters& c = report.channel;
-  os << ",\"channel\":{\"reliable_sends\":" << c.reliable_sends
-     << ",\"retransmits\":" << c.retransmits << ",\"corrupt_detected\":" << c.corrupt_detected
-     << ",\"dups_dropped\":" << c.dups_dropped << ",\"reorders_healed\":" << c.reorders_healed
-     << ",\"drops_injected\":" << c.drops_injected << ",\"dups_injected\":" << c.dups_injected
-     << ",\"reorders_injected\":" << c.reorders_injected
-     << ",\"corrupts_injected\":" << c.corrupts_injected
-     << ",\"delays_injected\":" << c.delays_injected
-     << ",\"faults_injected\":" << c.faults_injected() << "}";
-  os << ",\"health\":[";
-  for (size_t r = 0; r < report.health.size(); ++r) {
-    const RankHealth& h = report.health[r];
-    if (r) os << ",";
-    os << "{\"rank\":" << h.rank << ",\"last_seen_step\":" << h.last_seen_step
-       << ",\"heartbeats\":" << h.heartbeats << ",\"ewma_step_seconds\":" << h.ewma_step_seconds
-       << "}";
-  }
-  os << "]}";
+  write_channel_and_health_json(os, report.channel, report.health);
+  os << "}";
   return os.str();
 }
 

@@ -77,6 +77,20 @@ struct ReliabilityCounters {
     return drops_injected + dups_injected + reorders_injected + corrupts_injected +
            delays_injected;
   }
+
+  ReliabilityCounters& operator+=(const ReliabilityCounters& c) {
+    reliable_sends += c.reliable_sends;
+    retransmits += c.retransmits;
+    corrupt_detected += c.corrupt_detected;
+    dups_dropped += c.dups_dropped;
+    reorders_healed += c.reorders_healed;
+    drops_injected += c.drops_injected;
+    dups_injected += c.dups_injected;
+    reorders_injected += c.reorders_injected;
+    corrupts_injected += c.corrupts_injected;
+    delays_injected += c.delays_injected;
+    return *this;
+  }
 };
 
 /// FNV-1a over the payload's 64-bit patterns. Bitwise, not arithmetic: any

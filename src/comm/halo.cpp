@@ -163,8 +163,7 @@ HaloUpdater::Messages HaloUpdater::stage(int rank, Kind kind,
   out.bufs.reserve(peers.size());
   for (const Peer& peer : peers) {
     const size_t n = peer.cells * levels;
-    out.bufs.push_back(pooling_ ? pools_[static_cast<size_t>(rank)].acquire()
-                                : std::vector<double>{});
+    out.bufs.push_back(pools_[static_cast<size_t>(rank)].acquire());
     out.bufs.back().reserve(n);
     out.values += n;
   }
@@ -268,9 +267,7 @@ void HaloUpdater::unpack(int rank, std::span<FieldD* const> fields, const Messag
 }
 
 void HaloUpdater::release(int rank, Messages& in) const {
-  if (pooling_) {
-    for (auto& buf : in.bufs) pools_[static_cast<size_t>(rank)].release(std::move(buf));
-  }
+  for (auto& buf : in.bufs) pools_[static_cast<size_t>(rank)].release(std::move(buf));
   in.bufs.clear();
 }
 

@@ -159,11 +159,6 @@ class HaloUpdater {
   void set_num_threads(int n) { num_threads_ = n > 0 ? n : 1; }
   [[nodiscard]] int num_threads() const { return num_threads_; }
 
-  /// Staging-buffer reuse (on by default). Off allocates a fresh vector per
-  /// message — the pre-pool behavior, kept so the weak-scaling bench can
-  /// measure the allocation win.
-  void set_buffer_pooling(bool on) { pooling_ = on; }
-  [[nodiscard]] bool buffer_pooling() const { return pooling_; }
   [[nodiscard]] long pool_allocations(int rank) const {
     return pools_[static_cast<size_t>(rank)].allocations();
   }
@@ -230,7 +225,6 @@ class HaloUpdater {
   std::vector<grid::RankInfo> infos_;
   int width_;
   int num_threads_ = 1;
-  bool pooling_ = true;
   /// pools_[r] is touched by one thread at a time (see BufferPool).
   mutable std::vector<BufferPool> pools_;
 };

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/exec/extents.hpp"
+#include "core/util/strings.hpp"
 
 namespace cyclone::comm {
 
@@ -354,7 +355,7 @@ OverlapPlan analyze_overlap(const ir::Program& program, int state_index) {
       return plan;
     }
     const auto temp_key = [n](const std::string& name) {
-      return "#" + std::to_string(n) + ":" + name;
+      return str::numbered("#", n) + ":" + name;
     };
     for (const auto& a : exec::collect_stmt_accesses(*node.stencil)) {
       FlatAccess fa;
@@ -777,28 +778,23 @@ RunReport ConcurrentRuntime::run(int nsteps) {
   return report;
 }
 
-std::string run_report_to_json(const RunReport& report) {
-  std::ostringstream os;
-  const auto esc = [](const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        out += ' ';
-      } else {
-        out += c;
-      }
+std::string json_escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out += ' ';
+    } else {
+      out += c;
     }
-    return out;
-  };
-  os << "{\"ok\":" << (report.ok ? "true" : "false")
-     << ",\"steps_completed\":" << report.steps_completed << ",\"restarts\":" << report.restarts
-     << ",\"checkpoints\":" << report.checkpoints
-     << ",\"rolled_back_steps\":" << report.rolled_back_steps << ",\"failure\":\""
-     << esc(report.failure) << "\"";
-  const ReliabilityCounters& c = report.channel;
+  }
+  return out;
+}
+
+void write_channel_and_health_json(std::ostream& os, const ReliabilityCounters& c,
+                                   const std::vector<RankHealth>& health) {
   os << ",\"channel\":{\"reliable_sends\":" << c.reliable_sends
      << ",\"retransmits\":" << c.retransmits << ",\"corrupt_detected\":" << c.corrupt_detected
      << ",\"dups_dropped\":" << c.dups_dropped << ",\"reorders_healed\":" << c.reorders_healed
@@ -808,14 +804,25 @@ std::string run_report_to_json(const RunReport& report) {
      << ",\"delays_injected\":" << c.delays_injected
      << ",\"faults_injected\":" << c.faults_injected() << "}";
   os << ",\"health\":[";
-  for (size_t r = 0; r < report.health.size(); ++r) {
-    const RankHealth& h = report.health[r];
+  for (size_t r = 0; r < health.size(); ++r) {
+    const RankHealth& h = health[r];
     if (r) os << ",";
     os << "{\"rank\":" << h.rank << ",\"last_seen_step\":" << h.last_seen_step
        << ",\"heartbeats\":" << h.heartbeats << ",\"ewma_step_seconds\":" << h.ewma_step_seconds
        << "}";
   }
-  os << "]}";
+  os << "]";
+}
+
+std::string run_report_to_json(const RunReport& report) {
+  std::ostringstream os;
+  os << "{\"ok\":" << (report.ok ? "true" : "false")
+     << ",\"steps_completed\":" << report.steps_completed << ",\"restarts\":" << report.restarts
+     << ",\"checkpoints\":" << report.checkpoints
+     << ",\"rolled_back_steps\":" << report.rolled_back_steps << ",\"failure\":\""
+     << json_escape(report.failure) << "\"";
+  write_channel_and_health_json(os, report.channel, report.health);
+  os << "}";
   return os.str();
 }
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <deque>
+#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
@@ -143,6 +144,15 @@ struct RunReport {
 /// Render a RunReport as a single JSON object (reliability counters and the
 /// per-rank health table included) for verify_pipeline and log scraping.
 std::string run_report_to_json(const RunReport& report);
+
+/// Body of a JSON string literal, as both report renderers write it: quote
+/// and backslash escaped, control characters replaced by spaces.
+std::string json_escape(const std::string& s);
+
+/// Write the `,"channel":{...},"health":[...]` members both report renderers
+/// end with.
+void write_channel_and_health_json(std::ostream& os, const ReliabilityCounters& channel,
+                                   const std::vector<RankHealth>& health);
 
 /// Execute one program pass over all ranks with the phase-based scheduler:
 /// a compute state runs on every rank before the next state starts;

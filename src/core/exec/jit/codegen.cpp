@@ -9,6 +9,7 @@
 
 #include "core/exec/jit/abi.hpp"
 #include "core/exec/tape.hpp"
+#include "core/util/strings.hpp"
 
 namespace cyclone::exec::jit {
 
@@ -21,7 +22,11 @@ std::string lit_str(double v) {
   if (std::isinf(v)) return v > 0 ? "__builtin_inf()" : "(-__builtin_inf())";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%a", v);
-  return v < 0 || std::signbit(v) ? "(" + std::string(buf) + ")" : std::string(buf);
+  if (!(v < 0 || std::signbit(v))) return buf;
+  std::string out = "(";
+  out += buf;
+  out += ")";
+  return out;
 }
 
 /// Unique row pointers: loads of the same (slot, dj, dk) share one hoisted
@@ -71,13 +76,13 @@ std::string emit_expr(const CStmt& stmt, const std::map<LoadKey, int>& qidx) {
   for (const Instr& ins : stmt.code) {
     switch (ins.op) {
       case OpC::PushLit: st.push_back(lit_str(ins.lit)); break;
-      case OpC::PushParam: st.push_back("CY_P[" + std::to_string(ins.a) + "]"); break;
+      case OpC::PushParam: st.push_back(str::numbered("CY_P[", ins.a) + "]"); break;
       case OpC::Load: {
         const LoadSite& ls = stmt.loads[ins.a];
         const int q = qidx.at(LoadKey{ls.slot, ls.dj, ls.dk});
         const std::string idx =
             ins.di == 0 ? "i" : "i + (" + std::to_string(ins.di) + ")";
-        st.push_back("q" + std::to_string(q) + "[" + idx + "]");
+        st.push_back(str::numbered("q", q) + "[" + idx + "]");
         break;
       }
       case OpC::Add: bin_op("+"); break;

@@ -104,13 +104,6 @@ struct RunOptions {
   /// kernels and falls back to the OpenMP tape engine (with a logged
   /// warning) when no host compiler is available.
   ExecBackend backend = ExecBackend::OpenMP;
-  /// Ensemble member-batch size: how many members a batched stencil sweep
-  /// advances before moving to the next program state (0 = all members in
-  /// one sweep). Smaller batches keep the batch's working set cache-resident
-  /// across states; the knob is a pure iteration-space blocking, so results
-  /// are bitwise identical for every value. Ignored outside the ensemble
-  /// runtime.
-  int member_batch = 0;
   /// Autotuning policy (see TuneMode). Off by default: tuning costs time
   /// up front, so callers opt in per run or amortize it through a warm
   /// tuning database.

@@ -1,5 +1,6 @@
 #include "core/orch/orchestrate.hpp"
 
+#include "core/util/strings.hpp"
 #include "core/xform/fusion.hpp"
 
 namespace cyclone::orch {
@@ -23,7 +24,7 @@ OrchestrationReport orchestrate(ir::Program& program) {
           // + folding in one pass; a unique temp prefix keeps temporaries
           // collision-free across the whole program.
           dsl::StencilFunc resolved =
-              xform::resolve_node(node, "o" + std::to_string(node_id++) + "__");
+              xform::resolve_node(node, str::numbered("o", node_id++) + "__");
           node.stencil = std::make_shared<const dsl::StencilFunc>(std::move(resolved));
           node.args = exec::StencilArgs{};
           break;

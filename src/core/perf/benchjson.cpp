@@ -306,11 +306,17 @@ JsonValue parse_json_file(const std::string& path) {
 }
 
 std::string format_bench_record(const std::string& bench, const std::string& config,
-                                int threads, double seconds, double speedup,
+                                int threads, const Timing& timing, double speedup,
                                 const std::string& extra) {
   std::string out = "{\"bench\":\"" + bench + "\",\"config\":\"" + config +
                     "\",\"threads\":" + std::to_string(threads) + ",\"seconds\":";
-  append_number(out, "%.6e", seconds);
+  append_number(out, "%.6e", timing.median);
+  out += ",\"reps\":";
+  out += std::to_string(timing.reps);
+  out += ",\"min_seconds\":";
+  append_number(out, "%.6e", timing.min);
+  out += ",\"max_seconds\":";
+  append_number(out, "%.6e", timing.max);
   out += ",\"speedup\":";
   append_number(out, "%.3f", speedup);
   if (!extra.empty()) out += "," + extra;
@@ -327,8 +333,18 @@ std::vector<std::string> validate_bench_record(const JsonValue& record) {
   require_string(record, "bench", "record", problems);
   require_string(record, "config", "record", problems);
   require_positive_number(record, "threads", "record", /*integral=*/true, problems);
+  require_positive_number(record, "reps", "record", /*integral=*/true, problems);
   require_positive_number(record, "seconds", "record", /*integral=*/false, problems);
+  require_positive_number(record, "min_seconds", "record", /*integral=*/false, problems);
+  require_positive_number(record, "max_seconds", "record", /*integral=*/false, problems);
   require_positive_number(record, "speedup", "record", /*integral=*/false, problems);
+  const auto number = [&](const char* key) {  // NaN (compares false) when absent
+    const JsonValue* v = record.find(key);
+    return v != nullptr && v->is_number() ? v->number : std::nan("");
+  };
+  if (number("min_seconds") > number("seconds") || number("seconds") > number("max_seconds")) {
+    problems.emplace_back("record: expected min_seconds <= seconds <= max_seconds");
+  }
   check_finite(record, "record", problems);
   return problems;
 }

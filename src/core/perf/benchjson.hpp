@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/util/timer.hpp"
+
 namespace cyclone::perf {
 
 /// Minimal JSON document model — just enough for the bench snapshots
@@ -44,17 +46,20 @@ JsonValue parse_json(const std::string& text);
 JsonValue parse_json_file(const std::string& path);
 
 /// Render one measurement record: {"bench":...,"config":...,"threads":N,
-/// "seconds":...,"speedup":...<,extra>}. `extra` is a pre-rendered JSON
-/// fragment ("\"key\":1,..."). Non-finite seconds/speedup render as null so
-/// the output stays parseable and the validator names the rotten field.
+/// "seconds":<median>,"reps":N,"min_seconds":...,"max_seconds":...,
+/// "speedup":...<,extra>}. `speedup` is a ratio of medians. `extra` is a
+/// pre-rendered JSON fragment ("\"key\":1,..."). Non-finite numbers render
+/// as null so the output stays parseable and the validator names the rotten
+/// field.
 std::string format_bench_record(const std::string& bench, const std::string& config,
-                                int threads, double seconds, double speedup,
+                                int threads, const Timing& timing, double speedup,
                                 const std::string& extra = {});
 
 /// Validate one record object. Required: bench/config non-empty strings,
-/// threads a positive integer, seconds/speedup finite positive numbers; any
-/// additional numeric member (including nested ones) must be finite.
-/// Returns one message per violation; empty means valid.
+/// threads and reps positive integers, seconds/min_seconds/max_seconds/
+/// speedup finite positive numbers with min_seconds <= seconds <=
+/// max_seconds; any additional numeric member (including nested ones) must
+/// be finite. Returns one message per violation; empty means valid.
 std::vector<std::string> validate_bench_record(const JsonValue& record);
 
 /// Validate a committed BENCH_*.json snapshot. Required: bench/description/

@@ -49,9 +49,7 @@ struct OnlineStats {
 /// hot-swaps the staged states into every rank's program copy *at the step
 /// boundary* (never mid-step: rank threads are joined, so no executor is
 /// running) and resumes. Every rewrite is semantics-preserving, so a
-/// re-tuned run is bitwise identical to a never-tuned one; the ensemble's
-/// live member_batch tuning (ensemble/tune.hpp) is the precedent for tuning
-/// a run while it serves.
+/// re-tuned run is bitwise identical to a never-tuned one.
 class OnlineTuner {
  public:
   /// `program` is the shape being run (any rank's copy — states are

@@ -77,4 +77,10 @@ std::string human_time(double seconds) {
   return format("%.3f s", seconds);
 }
 
+std::string numbered(const char* prefix, long n) {
+  std::string out = prefix;
+  out += std::to_string(n);
+  return out;
+}
+
 }  // namespace cyclone::str

@@ -29,4 +29,9 @@ std::string human_bytes(double bytes);
 /// Render a duration in seconds with an adaptive unit (ns/us/ms/s).
 std::string human_time(double seconds);
 
+/// `prefix` followed by the decimal `n` ("q" and 3 give "q3"). Built by
+/// appending: GCC 12 reports a false -Wrestrict (bug 105651) on
+/// `"q" + std::to_string(n)`.
+std::string numbered(const char* prefix, long n);
+
 }  // namespace cyclone::str

@@ -6,6 +6,7 @@
 #include "core/dsl/builder.hpp"
 #include "core/sched/schedule.hpp"
 #include "core/util/rng.hpp"
+#include "core/util/strings.hpp"
 
 namespace cyclone::verify {
 
@@ -100,7 +101,7 @@ ir::Program random_program(uint64_t seed, const RandomProgramOptions& options) {
   ir::State state{"s0", {}};
 
   for (int n = 0; n < n_nodes; ++n) {
-    const std::string out_name = "f" + std::to_string(n);
+    const std::string out_name = str::numbered("f", n);
     const bool use_bind =
         options.allow_bindings && rng.next_below(4) == 0;  // formal->actual renaming
     StencilBuilder b("fuzz_node" + std::to_string(n));
@@ -112,7 +113,7 @@ ir::Program random_program(uint64_t seed, const RandomProgramOptions& options) {
     auto declare = [&](const std::string& actual, bool offsets) {
       std::string formal = actual;
       if (use_bind) {
-        formal = "x" + std::to_string(formal_id++);
+        formal = str::numbered("x", formal_id++);
         args.bind[formal] = actual;
       }
       leaves.push_back({b.field(formal), offsets});
@@ -205,7 +206,7 @@ ir::Program random_program(uint64_t seed, const RandomProgramOptions& options) {
       }
     }
 
-    state.nodes.push_back(ir::SNode::make_stencil("n" + std::to_string(n), b.build(),
+    state.nodes.push_back(ir::SNode::make_stencil(str::numbered("n", n), b.build(),
                                                   std::move(args),
                                                   random_schedule(rng, vertical)));
     // Intermediates are transient half the time (fusion may demote them);

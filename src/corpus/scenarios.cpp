@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "core/util/strings.hpp"
 #include "ensemble/ensemble.hpp"
 #include "ensemble/service.hpp"
 #include "fv3/driver.hpp"
@@ -180,7 +181,7 @@ verify::ScenarioResult run_ensemble_scenario(
     Model& model = runner.member(m);
     verify::ScenarioResult one = assemble(model, prognostics);
     for (verify::GoldenField& field : one.fields) {
-      field.name = "m" + std::to_string(m) + "." + field.name;
+      field.name = str::numbered("m", m) + "." + field.name;
       result.fields.push_back(std::move(field));
     }
   }

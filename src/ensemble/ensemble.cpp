@@ -67,33 +67,26 @@ void EnsembleRunner<Model>::step() {
   if (options_.scheduler == EnsembleOptions::Scheduler::Concurrent) {
     for (int m = 0; m < n; ++m) models_[static_cast<size_t>(m)]->step();
   } else {
-    const int chunk = options_.run.member_batch > 0 ? options_.run.member_batch : n;
-    for (int lo = 0; lo < n; lo += chunk) step_chunk(lo, std::min(lo + chunk, n));
+    // The batched sweep: one pass of the lockstep scheduler with every
+    // member folded inside every phase. Each member executes the same states
+    // in the same order against its own program, and a compute state runs
+    // every (member, rank) side on the team, each side writing only its own
+    // member's fields. Every member's store sequence is therefore identical
+    // to its solo run, and the batched result is bitwise equal by
+    // construction.
+    std::vector<const ir::Program*> programs;
+    std::vector<const comm::HaloUpdater*> halos;
+    std::vector<std::vector<comm::RankDomain>*> ranks;
+    std::vector<comm::Comm*> comms;
+    for (const auto& model : models_) {
+      programs.push_back(&model->program());
+      halos.push_back(&model->halo_updater());
+      ranks.push_back(&model->rank_domains());
+      comms.push_back(&model->comm());
+    }
+    comm::run_lockstep_step(programs, halos, ranks, comms);
   }
   member_steps_ += n;
-}
-
-/// The batched sweep: one pass of the lockstep scheduler with the chunk's
-/// members folded inside every phase. Each member executes the same states
-/// in the same order against its own program, and a compute state runs
-/// every (member, rank) side on the team, each side writing only its own
-/// member's fields. Every member's store sequence is
-/// therefore identical to its solo run, and the batched result is bitwise
-/// equal by construction.
-template <class Model>
-void EnsembleRunner<Model>::step_chunk(int mlo, int mhi) {
-  std::vector<const ir::Program*> programs;
-  std::vector<const comm::HaloUpdater*> halos;
-  std::vector<std::vector<comm::RankDomain>*> ranks;
-  std::vector<comm::Comm*> comms;
-  for (int m = mlo; m < mhi; ++m) {
-    Model& model = *models_[static_cast<size_t>(m)];
-    programs.push_back(&model.program());
-    halos.push_back(&model.halo_updater());
-    ranks.push_back(&model.rank_domains());
-    comms.push_back(&model.comm());
-  }
-  comm::run_lockstep_step(programs, halos, ranks, comms);
 }
 
 template <class Model>
@@ -115,16 +108,7 @@ comm::RunReport EnsembleRunner<Model>::run_resilient(int steps) {
     aggregate.restarts += report.restarts;
     aggregate.checkpoints += report.checkpoints;
     aggregate.rolled_back_steps += report.rolled_back_steps;
-    aggregate.channel.reliable_sends += report.channel.reliable_sends;
-    aggregate.channel.retransmits += report.channel.retransmits;
-    aggregate.channel.corrupt_detected += report.channel.corrupt_detected;
-    aggregate.channel.dups_dropped += report.channel.dups_dropped;
-    aggregate.channel.reorders_healed += report.channel.reorders_healed;
-    aggregate.channel.drops_injected += report.channel.drops_injected;
-    aggregate.channel.dups_injected += report.channel.dups_injected;
-    aggregate.channel.reorders_injected += report.channel.reorders_injected;
-    aggregate.channel.corrupts_injected += report.channel.corrupts_injected;
-    aggregate.channel.delays_injected += report.channel.delays_injected;
+    aggregate.channel += report.channel;
     member_steps_ += report.steps_completed;
   }
   return aggregate;

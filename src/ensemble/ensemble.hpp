@@ -23,14 +23,13 @@ struct EnsembleOptions {
   std::vector<MemberSpec> members{MemberSpec{}};
   double amplitude = 1e-3;
   int num_ranks = 6;
-  /// Engine options for every member (backend, threads, member_batch).
+  /// Engine options for every member (backend, threads).
   exec::RunOptions run{};
   /// How step() schedules members:
   ///  - Batched: one lockstep pass interleaves all members — state loop
   ///    outer, member loop inner — so each scheduled stencil sweep advances
   ///    every member while its code and the members' adjacent arena blocks
-  ///    are hot (run.member_batch chunks the member loop for cache
-  ///    blocking; results are bitwise identical for every chunk size).
+  ///    are hot.
   ///  - Concurrent: each member advances through its own thread-per-rank
   ///    concurrent runtime (bitwise identical to Batched by the
   ///    concurrent == lockstep contract).
@@ -102,14 +101,7 @@ class EnsembleRunner {
   /// benchmarks rate against solo processes.
   [[nodiscard]] long member_steps() const { return member_steps_; }
 
-  /// Re-chunk the batched member loop (see RunOptions::member_batch). Pure
-  /// iteration-space blocking — safe to change between steps, including by
-  /// the tuner mid-run, without perturbing a single bit of any member.
-  void set_member_batch(int chunk) { options_.run.member_batch = chunk; }
-
  private:
-  void step_chunk(int mlo, int mhi);
-
   Config config_;
   EnsembleOptions options_;
   MemberArena arena_;

@@ -42,7 +42,6 @@ EnsembleVerifyReport verify_batched_vs_solo(const typename ModelTraits<Model>::C
         opts.amplitude = options.amplitude;
         opts.num_ranks = options.num_ranks;
         opts.run = run;
-        opts.run.member_batch = options.member_batch;
         opts.scheduler = options.scheduler;
         EnsembleRunner<Model> runner(config, std::move(opts));
         runner.init(options.ic);

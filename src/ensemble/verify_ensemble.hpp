@@ -28,8 +28,7 @@ struct EnsembleVerifyOptions {
   std::vector<uint64_t> seeds = {0x5EEDull};
   int num_ranks = 6;
   double amplitude = 1e-3;
-  int num_threads = 2;    ///< OpenMP team size for threaded backends
-  int member_batch = 0;   ///< batched sweep chunk size (0 = all members)
+  int num_threads = 2;  ///< OpenMP team size for threaded backends
   EnsembleOptions::Scheduler scheduler = EnsembleOptions::Scheduler::Batched;
 };
 

@@ -1,5 +1,6 @@
 #include "fv3/dyn_core.hpp"
 
+#include "core/util/strings.hpp"
 #include "fv3/stencils/c_sw.hpp"
 #include "fv3/stencils/damping.hpp"
 #include "fv3/stencils/d_sw.hpp"
@@ -80,7 +81,7 @@ std::vector<ir::CFNode> build_remap_step_states(ir::Program& program, const FvCo
   // Tracer transport (sub-cycled; red hexagon in Fig. 2). Courant numbers
   // are reused from the last acoustic step's d_sw.
   std::vector<std::string> tracers;
-  for (int t = 0; t < config.ntracers; ++t) tracers.push_back("q" + std::to_string(t));
+  for (int t = 0; t < config.ntracers; ++t) tracers.push_back(str::numbered("q", t));
   if (!tracers.empty()) {
     // delp's halo went stale during the acoustic loop; the mass-weighted
     // transport needs it alongside the tracers.

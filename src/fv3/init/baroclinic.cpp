@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/util/strings.hpp"
 #include "grid/cube_topology.hpp"
 #include "grid/geometry.hpp"
 
@@ -117,7 +118,7 @@ void init_baroclinic(ModelState& state, const grid::Partitioner& part,
 
   // Tracers: blob / constant / step / latitude band.
   for (int t = 0; t < cfg.ntracers; ++t) {
-    FieldD& q = state.f("q" + std::to_string(t));
+    FieldD& q = state.f(str::numbered("q", t));
     for (int lj = -halo; lj < info.nj + halo; ++lj) {
       for (int li = -halo; li < info.ni + halo; ++li) {
         const grid::LatLon ll =

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "comm/runtime.hpp"
+#include "core/util/strings.hpp"
 
 namespace cyclone::fv3 {
 
@@ -37,7 +38,7 @@ ModelState::ModelState(const FvConfig& config, const grid::Partitioner& part, in
 
   // Prognostics.
   for (const char* name : {"u", "v", "w", "delp", "pt", "delz"}) catalog_.create(name, c3d);
-  for (int t = 0; t < config_.ntracers; ++t) catalog_.create("q" + std::to_string(t), c3d);
+  for (int t = 0; t < config_.ntracers; ++t) catalog_.create(str::numbered("q", t), c3d);
 
   // Acoustic-step / remap intermediates.
   for (const char* name : kTransients) {
@@ -92,13 +93,13 @@ ModelState::ModelState(const FvConfig& config, const grid::Partitioner& part, in
 std::vector<std::string> ModelState::tracer_names() const {
   std::vector<std::string> names;
   names.reserve(static_cast<size_t>(config_.ntracers));
-  for (int t = 0; t < config_.ntracers; ++t) names.push_back("q" + std::to_string(t));
+  for (int t = 0; t < config_.ntracers; ++t) names.push_back(str::numbered("q", t));
   return names;
 }
 
 std::vector<std::string> ModelState::prognostic_names(int ntracers) {
   std::vector<std::string> names = {"u", "v", "w", "delp", "pt", "delz"};
-  for (int t = 0; t < ntracers; ++t) names.push_back("q" + std::to_string(t));
+  for (int t = 0; t < ntracers; ++t) names.push_back(str::numbered("q", t));
   return names;
 }
 

@@ -1,6 +1,7 @@
 #include "fv3/stencils/damping.hpp"
 
 #include "core/dsl/builder.hpp"
+#include "core/util/strings.hpp"
 #include "fv3/stencils/functions.hpp"
 
 namespace cyclone::fv3 {
@@ -56,7 +57,7 @@ std::vector<ir::SNode> del2_cubed_nodes(const FvConfig& config, double coefficie
                                         const sched::Schedule& horizontal_schedule) {
   std::vector<ir::SNode> nodes;
   for (int t = 0; t < config.ntracers; ++t) {
-    const std::string q = "q" + std::to_string(t);
+    const std::string q = str::numbered("q", t);
     for (int sub = 0; sub < ntimes; ++sub) {
       exec::StencilArgs args;
       args.params["cd"] = coefficient;
@@ -95,7 +96,7 @@ std::vector<ir::SNode> fillz_nodes(const FvConfig& config,
   std::vector<ir::SNode> nodes;
   for (int t = 0; t < config.ntracers; ++t) {
     exec::StencilArgs args;
-    args.bind["q"] = "q" + std::to_string(t);
+    args.bind["q"] = str::numbered("q", t);
     nodes.push_back(ir::SNode::make_stencil("fillz.q" + std::to_string(t), build_fillz(), args,
                                             vertical_schedule));
   }

@@ -1,6 +1,7 @@
 #include "fv3/stencils/remap.hpp"
 
 #include "core/dsl/builder.hpp"
+#include "core/util/strings.hpp"
 #include "fv3/stencils/pressure.hpp"
 
 namespace cyclone::fv3 {
@@ -77,7 +78,7 @@ std::vector<ir::SNode> remap_nodes(const FvConfig& config,
   // One remap sweep per prognostic field; the tracer loop is unrolled here
   // at build time (the orchestration constant-propagation analog).
   std::vector<std::string> fields = {"u", "v", "w", "pt"};
-  for (int t = 0; t < config.ntracers; ++t) fields.push_back("q" + std::to_string(t));
+  for (int t = 0; t < config.ntracers; ++t) fields.push_back(str::numbered("q", t));
   for (const auto& field : fields) {
     exec::StencilArgs args;
     args.bind["q"] = field;

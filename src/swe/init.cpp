@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 
+#include "core/util/strings.hpp"
 #include "grid/cube_topology.hpp"
 #include "grid/geometry.hpp"
 
@@ -65,7 +66,7 @@ void init_tracers(SweState& state, const grid::Partitioner& part) {
   const int halo = state.geometry().halo;
   const int n = part.n();
   for (int t = 0; t < state.config().ntracers; ++t) {
-    FieldD& q = state.f("q" + std::to_string(t));
+    FieldD& q = state.f(str::numbered("q", t));
     for (int lj = -halo; lj < info.nj + halo; ++lj) {
       for (int li = -halo; li < info.ni + halo; ++li) {
         const grid::LatLon ll =

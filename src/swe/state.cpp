@@ -1,6 +1,7 @@
 #include "swe/state.hpp"
 
 #include "comm/runtime.hpp"
+#include "core/util/strings.hpp"
 
 namespace cyclone::swe {
 
@@ -32,7 +33,7 @@ SweState::SweState(const SweConfig& config, const grid::Partitioner& part, int r
 
   // Prognostics.
   for (const char* name : {"h", "u", "v"}) catalog_.create(name, p2d);
-  for (int t = 0; t < config_.ntracers; ++t) catalog_.create("q" + std::to_string(t), p2d);
+  for (int t = 0; t < config_.ntracers; ++t) catalog_.create(str::numbered("q", t), p2d);
 
   // Substep intermediates.
   for (const char* name : kTransients) catalog_.create(name, p2d);
@@ -59,13 +60,13 @@ SweState::SweState(const SweConfig& config, const grid::Partitioner& part, int r
 std::vector<std::string> SweState::tracer_names() const {
   std::vector<std::string> names;
   names.reserve(static_cast<size_t>(config_.ntracers));
-  for (int t = 0; t < config_.ntracers; ++t) names.push_back("q" + std::to_string(t));
+  for (int t = 0; t < config_.ntracers; ++t) names.push_back(str::numbered("q", t));
   return names;
 }
 
 std::vector<std::string> SweState::prognostic_names(int ntracers) {
   std::vector<std::string> names = {"h", "u", "v"};
-  for (int t = 0; t < ntracers; ++t) names.push_back("q" + std::to_string(t));
+  for (int t = 0; t < ntracers; ++t) names.push_back(str::numbered("q", t));
   return names;
 }
 

@@ -649,14 +649,6 @@ TEST(HaloUpdater, BufferPoolReusesStagingBuffers) {
   const auto [alloc2, reuse2] = totals();
   EXPECT_EQ(alloc2, alloc1);
   EXPECT_EQ(reuse2, alloc1);
-
-  // Pooling off restores the allocate-per-message behavior (counters idle).
-  updater.set_buffer_pooling(false);
-  updater.exchange_scalar(q.ptrs, comm);
-  const auto [alloc3, reuse3] = totals();
-  EXPECT_EQ(alloc3, alloc2);
-  EXPECT_EQ(reuse3, reuse2);
-  updater.set_buffer_pooling(true);
 }
 
 TEST(HaloUpdater, SplitExchangeOverlapsCompute) {

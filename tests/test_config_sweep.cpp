@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/util/strings.hpp"
 #include "fv3/driver.hpp"
 #include "fv3/init/baroclinic.hpp"
 
@@ -65,9 +66,9 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{12, 16, 1, 1, 1, 1, true}), // deep
     [](const ::testing::TestParamInfo<SweepCase>& info) {
       const auto& c = info.param;
-      return "c" + std::to_string(c.npx) + "z" + std::to_string(c.npz) + "k" +
-             std::to_string(c.k_split) + "n" + std::to_string(c.n_split) + "t" +
-             std::to_string(c.ntracers) + "nord" + std::to_string(c.nord) +
+      return str::numbered("c", c.npx) + str::numbered("z", c.npz) +
+             str::numbered("k", c.k_split) + str::numbered("n", c.n_split) +
+             str::numbered("t", c.ntracers) + str::numbered("nord", c.nord) +
              (c.riem3 ? "r3" : "r1");
     });
 

@@ -356,6 +356,101 @@ TEST(RunReport, ExposesPerRankHealthAndSerializesToJson) {
   }
 }
 
+// ---- Report JSON rendering (byte-for-byte) ----------------------------------
+
+ReliabilityCounters sample_counters() {
+  ReliabilityCounters c;
+  c.reliable_sends = 1;
+  c.retransmits = 2;
+  c.corrupt_detected = 3;
+  c.dups_dropped = 4;
+  c.reorders_healed = 5;
+  c.drops_injected = 6;
+  c.dups_injected = 7;
+  c.reorders_injected = 8;
+  c.corrupts_injected = 9;
+  c.delays_injected = 10;
+  return c;
+}
+
+std::vector<RankHealth> sample_health() {
+  return {RankHealth{0, 3, 12, 0.25}, RankHealth{1, 2, 11, 1.0 / 3.0}};
+}
+
+RunReport hand_built_run_report() {
+  RunReport r;
+  r.ok = false;
+  r.steps_completed = 3;
+  r.restarts = 1;
+  r.checkpoints = 4;
+  r.rolled_back_steps = 2;
+  r.failure = "rank \"2\" died\\here\x01!";
+  r.channel = sample_counters();
+  r.health = sample_health();
+  return r;
+}
+
+ElasticReport hand_built_elastic_report() {
+  ElasticReport r;
+  r.steps_completed = 8;
+  r.resizes = 2;
+  r.rebalances = 1;
+  r.rejoins = 1;
+  r.deaths = 1;
+  r.rejected_resizes = 1;
+  r.restarts = 1;
+  r.checkpoints = 5;
+  r.rolled_back_steps = 1;
+  r.failure = "tab\there \"q\" \\";
+  ResizeRecord rec;
+  rec.at_step = 2;
+  rec.from_ranks = 24;
+  rec.to_ranks = 6;
+  rec.trigger = "script";
+  rec.error = "bad\n\"count\"";
+  rec.snapshot_seconds = 0.5;
+  rec.rebuild_seconds = 0.125;
+  rec.refresh_seconds = 1.5e-3;
+  r.resize_log = {rec};
+  r.channel = sample_counters();
+  r.health = sample_health();
+  return r;
+}
+
+// Both renderers share the escaping and the channel/health fragments; the
+// literals pin their output, quote, backslash and control characters included.
+TEST(ReportJson, HandBuiltReportsRenderByteForByte) {
+  EXPECT_EQ(run_report_to_json(hand_built_run_report()),
+            R"({"ok":false,"steps_completed":3,"restarts":1,"checkpoints":4)"
+            R"(,"rolled_back_steps":2,"failure":"rank \"2\" died\\here !")"
+            R"(,"channel":{"reliable_sends":1,"retransmits":2,"corrupt_detected":3)"
+            R"(,"dups_dropped":4,"reorders_healed":5,"drops_injected":6,"dups_injected":7)"
+            R"(,"reorders_injected":8,"corrupts_injected":9,"delays_injected":10)"
+            R"(,"faults_injected":40},"health":[{"rank":0,"last_seen_step":3,"heartbeats":12)"
+            R"(,"ewma_step_seconds":0.25},{"rank":1,"last_seen_step":2,"heartbeats":11)"
+            R"(,"ewma_step_seconds":0.333333}]})");
+  EXPECT_EQ(elastic_report_to_json(hand_built_elastic_report()),
+            R"({"ok":true,"steps_completed":8,"resizes":2,"rebalances":1,"rejoins":1,"deaths":1)"
+            R"(,"rejected_resizes":1,"restarts":1,"checkpoints":5,"rolled_back_steps":1)"
+            R"(,"failure":"tab here \"q\" \\","resize_log":[{"at_step":2,"from_ranks":24)"
+            R"(,"to_ranks":6,"trigger":"script","error":"bad \"count\"","snapshot_seconds":0.5)"
+            R"(,"rebuild_seconds":0.125,"refresh_seconds":0.0015,"total_seconds":0.6265}])"
+            R"(,"channel":{"reliable_sends":1,"retransmits":2,"corrupt_detected":3)"
+            R"(,"dups_dropped":4,"reorders_healed":5,"drops_injected":6,"dups_injected":7)"
+            R"(,"reorders_injected":8,"corrupts_injected":9,"delays_injected":10)"
+            R"(,"faults_injected":40},"health":[{"rank":0,"last_seen_step":3,"heartbeats":12)"
+            R"(,"ewma_step_seconds":0.25},{"rank":1,"last_seen_step":2,"heartbeats":11)"
+            R"(,"ewma_step_seconds":0.333333}]})");
+}
+
+TEST(ReportJson, ReliabilityCountersAddFieldByField) {
+  ReliabilityCounters sum = sample_counters();
+  sum += sample_counters();
+  EXPECT_EQ(sum.reliable_sends, 2);
+  EXPECT_EQ(sum.delays_injected, 20);
+  EXPECT_EQ(sum.faults_injected(), 2 * sample_counters().faults_injected());
+}
+
 // ---- Corpus checksum invariance across a resize round-trip -----------------
 
 TEST(Elastic, GoldenChecksumInvariantAcross24To6To24) {

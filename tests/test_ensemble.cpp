@@ -9,7 +9,6 @@
 #include "core/verify/corpus.hpp"
 #include "ensemble/ensemble.hpp"
 #include "ensemble/service.hpp"
-#include "ensemble/tune.hpp"
 #include "ensemble/verify_ensemble.hpp"
 
 namespace cyclone::ensemble {
@@ -199,30 +198,6 @@ TEST(EnsembleBatched, DycoreMatchesSoloAcrossBackends) {
                                                        : report.failures.front());
 }
 
-TEST(EnsembleBatched, MemberBatchChunkingIsBitwiseInvariant) {
-  // member_batch is pure cache blocking: any chunk size must reproduce the
-  // unchunked result bit for bit.
-  const swe::SweConfig cfg = small_swe();
-  auto run = [&](int member_batch) {
-    EnsembleOptions opts;
-    opts.members = default_members(9, 5);
-    opts.run.member_batch = member_batch;
-    auto runner = std::make_unique<SweEnsemble>(cfg, std::move(opts));
-    runner->init("jet");
-    runner->run(2);
-    return runner;
-  };
-  auto reference = run(0);
-  for (int chunk : {1, 2, 3}) {
-    auto chunked = run(chunk);
-    for (int m = 0; m < reference->members(); ++m) {
-      expect_prognostics_bitwise(reference->member(m), chunked->member(m), cfg,
-                                 "chunk " + std::to_string(chunk) + " member " +
-                                     std::to_string(m));
-    }
-  }
-}
-
 TEST(EnsembleBatched, ConcurrentSchedulerMatchesSoloAtRanks6And24) {
   for (int ranks : {6, 24}) {
     EnsembleVerifyOptions options;
@@ -289,34 +264,6 @@ TEST(EnsembleResilient, CrashedRankMidBatchRecoversBitwise) {
                                            runner.options().amplitude);
     for (int s = 0; s < steps; ++s) solo->step();
     expect_prognostics_bitwise(runner.member(m), *solo, cfg, "member " + std::to_string(m));
-  }
-}
-
-// --- member_batch tuner -----------------------------------------------------
-
-TEST(EnsembleTune, TuningRunsOnLiveStateWithoutPerturbingIt) {
-  const swe::SweConfig cfg = small_swe();
-  EnsembleOptions opts;
-  opts.members = default_members(0x7E57, 5);
-  opts.run.backend = exec::ExecBackend::Tape;
-
-  EnsembleRunner<swe::SweModel> tuned(cfg, opts);
-  tuned.init("vortex");
-  const MemberBatchTuning tuning = tune_member_batch(tuned, {0, 1, 2}, /*reps=*/1);
-  EXPECT_EQ(tuning.timings.size(), 3u);
-  EXPECT_TRUE(tuning.best == 0 || tuning.best == 1 || tuning.best == 2);
-  EXPECT_EQ(tuned.options().run.member_batch, tuning.best);
-
-  // The tuner's (1 warm + 1 timed) steps per candidate are real timesteps:
-  // a reference ensemble advanced the same count must match bitwise.
-  const long steps_taken = tuned.member_steps() / tuned.members();
-  EXPECT_EQ(steps_taken, 6);
-  EnsembleRunner<swe::SweModel> reference(cfg, opts);
-  reference.init("vortex");
-  reference.run(static_cast<int>(steps_taken));
-  for (int m = 0; m < tuned.members(); ++m) {
-    expect_prognostics_bitwise(tuned.member(m), reference.member(m), cfg,
-                               "member " + std::to_string(m));
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
+#include <thread>
 
 #include "core/dsl/builder.hpp"
 #include "core/ir/expand.hpp"
@@ -8,6 +10,8 @@
 #include "core/perf/model.hpp"
 #include "core/perf/report.hpp"
 #include "core/util/error.hpp"
+#include "core/util/strings.hpp"
+#include "core/util/timer.hpp"
 
 namespace cyclone::perf {
 namespace {
@@ -235,7 +239,7 @@ TEST(Report, RespectsMaxRows) {
   std::vector<ir::KernelDesc> all;
   for (int i = 0; i < 30; ++i) {
     auto ks = expand(copy_node(), exec::LaunchDomain{16, 16, 2});
-    ks[0].label = "k" + std::to_string(i);
+    ks[0].label = str::numbered("k", i);
     all.push_back(ks[0]);
   }
   const auto report = bandwidth_report(all, p100());
@@ -318,16 +322,21 @@ TEST(BenchJson, RejectsMalformedUnicodeEscapes) {
 }
 
 TEST(BenchJson, FormatterOutputValidates) {
-  const std::string line = format_bench_record("ensemble", "swe_c12m4", 2, 1.25e-2, 3.7,
-                                               "\"members\":4,\"mode\":\"batched\"");
+  const std::string line =
+      format_bench_record("ensemble", "swe_c12m4", 2, Timing{5, 1.25e-2, 1.2e-2, 1.5e-2}, 3.7,
+                          "\"members\":4,\"mode\":\"batched\"");
   const JsonValue record = parse_json(line);
   EXPECT_TRUE(validate_bench_record(record).empty());
   EXPECT_EQ(record.find("members")->number, 4.0);
+  EXPECT_EQ(record.find("seconds")->number, 1.25e-2);
+  EXPECT_EQ(record.find("reps")->number, 5.0);
+  EXPECT_EQ(record.find("min_seconds")->number, 1.2e-2);
+  EXPECT_EQ(record.find("max_seconds")->number, 1.5e-2);
 }
 
 TEST(BenchJson, FormatterRendersNonFiniteAsNullAndValidatorNamesIt) {
-  const std::string line =
-      format_bench_record("b", "c", 1, 0.5, std::numeric_limits<double>::infinity());
+  const std::string line = format_bench_record("b", "c", 1, Timing{1, 0.5, 0.5, 0.5},
+                                               std::numeric_limits<double>::infinity());
   const JsonValue record = parse_json(line);  // must stay parseable
   const std::vector<std::string> problems = validate_bench_record(record);
   ASSERT_EQ(problems.size(), 1u);
@@ -338,27 +347,46 @@ TEST(BenchJson, RecordValidatorCatchesDrift) {
   auto problems_of = [](const std::string& text) {
     return validate_bench_record(parse_json(text));
   };
-  EXPECT_TRUE(problems_of(
-                  R"({"bench":"b","config":"c","threads":2,"seconds":1e-3,"speedup":2.0})")
-                  .empty());
-  EXPECT_FALSE(problems_of(R"({"config":"c","threads":2,"seconds":1e-3,"speedup":2.0})")
+  // Valid timing fields; each case below swaps in one drifted member.
+  const std::string timing = R"("reps":5,"min_seconds":9e-4,"max_seconds":2e-3)";
+  const auto record = [&](const std::string& members, const std::string& timing_fields) {
+    return "{" + members + "," + timing_fields + "}";
+  };
+  const std::string good = R"("bench":"b","config":"c","threads":2,"seconds":1e-3,"speedup":2.0)";
+  EXPECT_TRUE(problems_of(record(good, timing)).empty());
+  EXPECT_FALSE(problems_of(record(R"("config":"c","threads":2,"seconds":1e-3,"speedup":2.0)",
+                                  timing))
                    .empty());  // bench missing
-  EXPECT_FALSE(problems_of(
-                   R"({"bench":"b","config":"c","threads":2.5,"seconds":1e-3,"speedup":2.0})")
+  EXPECT_FALSE(problems_of(record(
+                   R"("bench":"b","config":"c","threads":2.5,"seconds":1e-3,"speedup":2.0)",
+                   timing))
                    .empty());  // fractional threads
-  EXPECT_FALSE(problems_of(
-                   R"({"bench":"b","config":"c","threads":2,"seconds":-1.0,"speedup":2.0})")
+  EXPECT_FALSE(problems_of(record(
+                   R"("bench":"b","config":"c","threads":2,"seconds":-1.0,"speedup":2.0)",
+                   timing))
                    .empty());  // negative time
-  EXPECT_FALSE(problems_of(
-                   R"({"bench":"b","config":"c","threads":2,"seconds":1e-3,"speedup":null})")
+  EXPECT_FALSE(problems_of(record(
+                   R"("bench":"b","config":"c","threads":2,"seconds":1e-3,"speedup":null)",
+                   timing))
                    .empty());  // rendered non-finite
+  EXPECT_FALSE(problems_of("{" + good + R"(,"min_seconds":9e-4,"max_seconds":2e-3})")
+                   .empty());  // reps missing
+  EXPECT_FALSE(problems_of(record(good, R"("reps":0,"min_seconds":9e-4,"max_seconds":2e-3)"))
+                   .empty());  // reps 0
+  EXPECT_FALSE(problems_of(record(good, R"("reps":2.5,"min_seconds":9e-4,"max_seconds":2e-3)"))
+                   .empty());  // fractional reps
+  EXPECT_FALSE(problems_of(record(good, R"("reps":5,"min_seconds":1.5e-3,"max_seconds":2e-3)"))
+                   .empty());  // min_seconds > seconds
+  EXPECT_FALSE(problems_of(record(good, R"("reps":5,"min_seconds":9e-4,"max_seconds":5e-4)"))
+                   .empty());  // seconds > max_seconds
 }
 
 TEST(BenchJson, SnapshotValidatorRequiresProvenanceAndRecords) {
   const std::string good = R"({
     "bench":"x","description":"d","generated":"2026-08-08","git_sha":"abc","command":"x --y",
     "machine":{"os":"Linux","cpus":1,"toolchain":"c++"},
-    "records":[{"bench":"x","config":"c","threads":1,"seconds":1e-3,"speedup":1.0}]})";
+    "records":[{"bench":"x","config":"c","threads":1,"seconds":1e-3,"reps":1,
+                "min_seconds":1e-3,"max_seconds":1e-3,"speedup":1.0}]})";
   EXPECT_TRUE(validate_bench_snapshot(parse_json(good)).empty());
   // Empty records array: a snapshot that measured nothing is rot, not data.
   const std::string empty_records = R"({
@@ -367,11 +395,44 @@ TEST(BenchJson, SnapshotValidatorRequiresProvenanceAndRecords) {
   EXPECT_FALSE(validate_bench_snapshot(parse_json(empty_records)).empty());
 }
 
+// --- Repeated timing ----------------------------------------------------------
+
+TEST(TimeReps, WarmsUpOnceThenTimesEveryRepetition) {
+  // Call i (0 = the warm-up) sleeps sleeps_ms[i]. Sleeps only overshoot, and
+  // the samples sit far enough apart that the overshoot cannot reorder them.
+  struct Case {
+    std::vector<int> sleeps_ms;
+    double median_lo, median_hi;  ///< the median's window, ms
+  };
+  const Case cases[] = {
+      // Odd count {2, 10, 50}: the middle sample, 10 ms.
+      {{120, 50, 2, 10}, 10.0, 50.0},
+      // Even count {2, 10, 50, 90}: the mean of the middle two, 30 ms. Either
+      // middle sample alone falls outside [30, 50).
+      {{120, 90, 10, 2, 50}, 30.0, 50.0},
+  };
+  for (const Case& c : cases) {
+    int calls = 0;
+    const int reps = static_cast<int>(c.sleeps_ms.size()) - 1;
+    const Timing t = time_reps(reps, [&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(c.sleeps_ms[calls]));
+      ++calls;
+    });
+    EXPECT_EQ(calls, reps + 1);
+    EXPECT_EQ(t.reps, reps);
+    EXPECT_LE(t.min, t.median);
+    EXPECT_LE(t.median, t.max);
+    EXPECT_GE(t.median * 1e3, c.median_lo);
+    EXPECT_LT(t.median * 1e3, c.median_hi);
+    EXPECT_GE(t.min * 1e3, 2.0);
+    EXPECT_LT(t.max * 1e3, 120.0);  // the untimed warm-up is not a sample
+  }
+}
+
 // The committed BENCH_* trajectory snapshots themselves: parse + full schema
 // check, so a hand-edited or printf-rotted snapshot fails here by name.
 TEST(BenchSnapshots, CommittedTrajectoryFilesMatchSchema) {
-  for (const char* name : {"BENCH_fig10.json", "BENCH_table3.json", "BENCH_ensemble.json",
-                           "BENCH_tuning.json", "BENCH_elastic.json"}) {
+  for (const char* name : {"BENCH_ensemble.json", "BENCH_tuning.json", "BENCH_elastic.json"}) {
     const std::string path = std::string(CYCLONE_SOURCE_DIR) + "/" + name;
     JsonValue snapshot;
     ASSERT_NO_THROW(snapshot = parse_json_file(path)) << path;

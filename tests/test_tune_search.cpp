@@ -17,6 +17,7 @@
 #include "core/tune/online.hpp"
 #include "core/tune/search.hpp"
 #include "core/tune/tunedb.hpp"
+#include "core/util/strings.hpp"
 #include "core/verify/random_program.hpp"
 #include "core/verify/verify.hpp"
 #include "fv3/dyn_core.hpp"
@@ -120,7 +121,8 @@ TEST(GuidedSearch, MatchesExhaustiveWithinTwoPercentOnSeededSet) {
   for (const uint64_t seed : {1ull, 2ull, 3ull, 7ull, 9ull}) {
     TuningOptions o;
     o.dom = exec::LaunchDomain{48, 48, 8};
-    subjects.push_back({"fuzz:" + std::to_string(seed), verify::random_program(seed), o});
+    subjects.push_back(
+        {str::numbered("fuzz:", static_cast<long>(seed)), verify::random_program(seed), o});
   }
   {
     // A motif-heavy subject: the same fusible producer/consumer chain in
@@ -131,7 +133,7 @@ TEST(GuidedSearch, MatchesExhaustiveWithinTwoPercentOnSeededSet) {
     for (int s = 0; s < 24; ++s) {
       ir::Program one = chain_program();
       motifs.append_state(
-          ir::State{"s" + std::to_string(s), one.states()[0].nodes});
+          ir::State{str::numbered("s", s), one.states()[0].nodes});
     }
     motifs.set_field_meta("b", ir::FieldMeta{ir::FieldKind::Center3D, true});
     motifs.set_field_meta("c", ir::FieldMeta{ir::FieldKind::Center3D, true});

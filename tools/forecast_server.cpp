@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/util/strings.hpp"
 #include "corpus/scenarios.hpp"
 #include "ensemble/service.hpp"
 
@@ -310,7 +311,7 @@ int client_request(const std::string& socket_path, const std::vector<std::string
     long matched = 0;
     for (const StreamedField& sf : streamed) {
       verify::GoldenField expected = sf.field;
-      expected.name = "m" + std::to_string(sf.member) + "." + sf.field.name;
+      expected.name = str::numbered("m", sf.member) + "." + sf.field.name;
       bool found = false;
       for (const verify::GoldenField& g : snapshot.fields) {
         if (g.name != expected.name) continue;
