@@ -20,18 +20,22 @@ namespace {
 template <class Model>
 std::unique_ptr<Model> make_member(const typename ModelTraits<Model>::Config& config,
                                    int num_ranks,
-                                   const std::function<FieldPlacer(int)>& placers) {
+                                   const std::function<FieldPlacer(int)>& placers,
+                                   const ir::Program* program) {
   if constexpr (std::is_same_v<Model, fv3::DistributedModel>) {
-    return std::make_unique<Model>(config, num_ranks, fv3::DycoreSchedules::tuned(), placers);
+    return std::make_unique<Model>(config, num_ranks, fv3::DycoreSchedules::tuned(), placers,
+                                   program);
   } else {
-    return std::make_unique<Model>(config, num_ranks, swe::SweSchedules::tuned(), placers);
+    return std::make_unique<Model>(config, num_ranks, swe::SweSchedules::tuned(), placers,
+                                   program);
   }
 }
 
 }  // namespace
 
 template <class Model>
-EnsembleRunner<Model>::EnsembleRunner(const Config& config, EnsembleOptions options)
+EnsembleRunner<Model>::EnsembleRunner(const Config& config, EnsembleOptions options,
+                                      const ir::Program* program)
     : config_(config),
       options_(std::move(options)),
       arena_(static_cast<int>(options_.members.size())) {
@@ -40,9 +44,13 @@ EnsembleRunner<Model>::EnsembleRunner(const Config& config, EnsembleOptions opti
   models_.reserve(static_cast<size_t>(n));
   for (int m = 0; m < n; ++m) {
     auto placers = [this, m](int rank) { return arena_.placer(m, rank); };
-    models_.push_back(make_member<Model>(config_, options_.num_ranks, placers));
+    // Member 0 prepares the program once; the others copy it, and a copy
+    // shares the prepared executors and JIT module.
+    const ir::Program* shared = m == 0 ? program : &models_.front()->program();
+    models_.push_back(make_member<Model>(config_, options_.num_ranks, placers, shared));
     Model& model = *models_.back();
     model.set_run_options(options_.run);
+    if (m == 0) model.program().precompile();
     comm::RuntimeOptions runtime = options_.runtime;
     runtime.faults.seed = Rng::mix(runtime.faults.seed, static_cast<uint64_t>(m));
     model.set_runtime_options(runtime);
@@ -53,9 +61,18 @@ EnsembleRunner<Model>::EnsembleRunner(const Config& config, EnsembleOptions opti
 }
 
 template <class Model>
-void EnsembleRunner<Model>::init(const std::string& ic) {
+void EnsembleRunner<Model>::init(const std::string& ic,
+                                 std::shared_ptr<const InitialState> initial) {
+  CY_REQUIRE_MSG(!initial_, "init runs once, on a freshly built runner");
+  size_t first_restored = 0;
+  if (!initial) {
+    apply_initial_condition(*models_.front(), ic);
+    initial = std::make_shared<const InitialState>(InitialState::capture(*models_.front()));
+    first_restored = 1;
+  }
+  for (size_t m = first_restored; m < models_.size(); ++m) initial->restore(*models_[m]);
+  initial_ = std::move(initial);
   for (int m = 0; m < members(); ++m) {
-    apply_initial_condition(*models_[static_cast<size_t>(m)], ic);
     perturb_model(*models_[static_cast<size_t>(m)], options_.members[static_cast<size_t>(m)],
                   options_.amplitude);
   }

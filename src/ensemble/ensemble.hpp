@@ -70,12 +70,21 @@ struct ModelTraits<swe::SweModel> {
 /// members. Every member is bitwise (0 ULP) identical to a solo run of the
 /// same (config, ic, spec) — the batching is pure iteration-space and
 /// storage reorganization, never a numerics change.
+///
+/// Members share what does not depend on the member: member 0 prepares the
+/// program (builds it, or copies `program` when given, then precompiles it
+/// for the run options' backend) and every other member adopts a copy that
+/// shares its executors and JIT module; init() applies the initial
+/// condition once and copies it into every member before perturbing.
 template <class Model>
 class EnsembleRunner {
  public:
   using Config = typename ModelTraits<Model>::Config;
 
-  EnsembleRunner(const Config& config, EnsembleOptions options);
+  /// `program`, when given, is a program already built for `config` (the
+  /// forecast service's shape cache); no member then builds one.
+  EnsembleRunner(const Config& config, EnsembleOptions options,
+                 const ir::Program* program = nullptr);
 
   [[nodiscard]] int members() const { return static_cast<int>(options_.members.size()); }
   [[nodiscard]] const EnsembleOptions& options() const { return options_; }
@@ -83,9 +92,18 @@ class EnsembleRunner {
   [[nodiscard]] Model& member(int m) { return *models_[static_cast<size_t>(m)]; }
   [[nodiscard]] const MemberArena& arena() const { return arena_; }
 
-  /// Apply the named initial condition to every member, then each member's
-  /// perturbation stream (member 0 of a default roster stays the control).
-  void init(const std::string& ic);
+  /// Give every member the named initial condition, then apply each
+  /// member's perturbation stream (member 0 of a default roster stays the
+  /// control). Without `initial`, member 0 evaluates the condition and the
+  /// others restore a snapshot of it; with `initial` (a snapshot of this
+  /// shape and condition), every member restores it. Runs once, before
+  /// the first step.
+  void init(const std::string& ic, std::shared_ptr<const InitialState> initial = nullptr);
+
+  /// The unperturbed snapshot the last init() restored from; null before.
+  [[nodiscard]] const std::shared_ptr<const InitialState>& initial_state() const {
+    return initial_;
+  }
 
   /// Advance every member one timestep under options().scheduler.
   void step();
@@ -106,6 +124,7 @@ class EnsembleRunner {
   EnsembleOptions options_;
   MemberArena arena_;
   std::vector<std::unique_ptr<Model>> models_;
+  std::shared_ptr<const InitialState> initial_;
   long member_steps_ = 0;
 };
 

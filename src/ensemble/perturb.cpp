@@ -1,5 +1,8 @@
 #include "ensemble/perturb.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "core/util/error.hpp"
 #include "core/util/rng.hpp"
 #include "fv3/init/baroclinic.hpp"
@@ -103,6 +106,43 @@ void apply_initial_condition(swe::SweModel& model, const std::string& ic) {
   } else {
     throw Error("unknown SWE initial condition '" + ic + "'");
   }
+}
+
+InitialState InitialState::capture(fv3::ModelDriver& model) {
+  InitialState snapshot;
+  std::vector<comm::RankDomain>& ranks = model.rank_domains();
+  for (size_t r = 0; r < ranks.size(); ++r) {
+    FieldCatalog& catalog = *ranks[r].catalog;
+    for (const std::string& name : catalog.names()) {
+      const FieldD& field = catalog.at(name);
+      const double* begin = field.data();
+      const double* end = begin + field.shape().alloc_elems();
+      // Compare bits, not values: a stored -0.0 must be kept.
+      if (std::none_of(begin, end, [](double v) { return std::bit_cast<uint64_t>(v) != 0; })) {
+        continue;
+      }
+      snapshot.fields_.push_back(Saved{static_cast<int>(r), name, std::vector<double>(begin, end)});
+    }
+  }
+  return snapshot;
+}
+
+void InitialState::restore(fv3::ModelDriver& model) const {
+  std::vector<comm::RankDomain>& ranks = model.rank_domains();
+  for (const Saved& saved : fields_) {
+    CY_REQUIRE_MSG(saved.rank < static_cast<int>(ranks.size()),
+                   "initial state has more ranks than the model");
+    FieldD& field = ranks[static_cast<size_t>(saved.rank)].catalog->at(saved.name);
+    CY_REQUIRE_MSG(field.shape().alloc_elems() == saved.values.size(),
+                   "initial state field '" << saved.name << "' shape mismatch");
+    std::copy(saved.values.begin(), saved.values.end(), field.data());
+  }
+}
+
+size_t InitialState::bytes() const {
+  size_t total = 0;
+  for (const Saved& saved : fields_) total += saved.values.size() * sizeof(double);
+  return total;
 }
 
 }  // namespace cyclone::ensemble

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/field/field.hpp"
 #include "fv3/driver.hpp"
@@ -49,5 +50,29 @@ void perturb_model(swe::SweModel& model, const MemberSpec& spec, double amplitud
 /// unknown names.
 void apply_initial_condition(fv3::DistributedModel& model, const std::string& ic);
 void apply_initial_condition(swe::SweModel& model, const std::string& ic);
+
+/// A snapshot of one model's unperturbed initial state: every field of every
+/// rank that holds a non-zero bit, halo included. Fields of a freshly built
+/// model start zero (owned fields and fresh arena slots alike) except what
+/// the state constructor fills identically in every model of a shape, so
+/// restoring the snapshot into a fresh model of the same shape leaves it
+/// bitwise equal to a fresh apply_initial_condition — without re-evaluating
+/// the analytic case or re-exchanging its halos. Restore only into a model
+/// nothing has written since construction.
+class InitialState {
+ public:
+  static InitialState capture(fv3::ModelDriver& model);
+  void restore(fv3::ModelDriver& model) const;
+
+  [[nodiscard]] size_t bytes() const;
+
+ private:
+  struct Saved {
+    int rank = 0;
+    std::string name;
+    std::vector<double> values;  ///< the whole allocation, halo and padding included
+  };
+  std::vector<Saved> fields_;
+};
 
 }  // namespace cyclone::ensemble

@@ -1,7 +1,11 @@
 #include "ensemble/service.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cstdlib>
 
 #include "core/util/error.hpp"
 
@@ -23,6 +27,28 @@ void add_specs(std::vector<MemberSpec>& roster, const ForecastRequest& request) 
   }
 }
 
+/// Parse a whole token as an int: "12abc", "" and out-of-range values fail.
+bool parse_int(const std::string& text, int& out) {
+  const char* end = text.data() + text.size();
+  int value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return false;
+  out = value;
+  return true;
+}
+
+/// Parse a whole token as an unsigned 64-bit value in C notation (decimal,
+/// 0x hex or 0 octal), as the protocol's seeds are written.
+bool parse_u64(const std::string& text, uint64_t& out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 0);
+  if (errno == ERANGE || end != text.c_str() + text.size()) return false;
+  out = value;
+  return true;
+}
+
 std::string validate(const ForecastRequest& r) {
   if (r.core != "swe" && r.core != "dycore") return "unknown core '" + r.core + "'";
   if (r.core == "swe" && r.ic != "hill" && r.ic != "vortex" && r.ic != "jet") {
@@ -31,15 +57,71 @@ std::string validate(const ForecastRequest& r) {
   if (r.core == "dycore" && r.ic != "baro" && r.ic != "solid") {
     return "unknown dycore initial condition '" + r.ic + "'";
   }
-  if (r.members < 1) return "members must be >= 1";
-  if (r.steps < 1) return "steps must be >= 1";
-  if (r.npx < 4) return "npx too small";
-  if (r.core == "dycore" && r.npz < 2) return "npz too small";
-  if (r.ntracers < 1) return "ntracers must be >= 1";
+  const auto out_of_range = [](const char* what, int value, int lo, int hi) {
+    return what + std::string(" must be in [") + std::to_string(lo) + ", " +
+           std::to_string(hi) + "], got " + std::to_string(value);
+  };
+  if (r.members < 1 || r.members > kMaxRequestMembers) {
+    return out_of_range("members", r.members, 1, kMaxRequestMembers);
+  }
+  if (r.steps < 1 || r.steps > kMaxRequestSteps) {
+    return out_of_range("steps", r.steps, 1, kMaxRequestSteps);
+  }
+  if (r.npx < 4 || r.npx > kMaxRequestNpx) return out_of_range("npx", r.npx, 4, kMaxRequestNpx);
+  if (r.core == "dycore" && (r.npz < 2 || r.npz > kMaxRequestNpz)) {
+    return out_of_range("npz", r.npz, 2, kMaxRequestNpz);
+  }
+  if (r.ntracers < 1 || r.ntracers > kMaxRequestTracers) {
+    return out_of_range("ntracers", r.ntracers, 1, kMaxRequestTracers);
+  }
   return {};
 }
 
 }  // namespace
+
+std::map<std::string, std::string> parse_kv(const std::vector<std::string>& tokens) {
+  std::map<std::string, std::string> kv;
+  for (const std::string& token : tokens) {
+    const size_t eq = token.find('=');
+    if (eq != std::string::npos) kv[token.substr(0, eq)] = token.substr(eq + 1);
+  }
+  return kv;
+}
+
+bool parse_request(const std::map<std::string, std::string>& kv, ForecastRequest& request,
+                   std::string& error) {
+  const auto find = [&kv](const char* key) {
+    const auto it = kv.find(key);
+    return it == kv.end() ? nullptr : &it->second;
+  };
+  const auto malformed = [&error](const char* key, const std::string& value) {
+    error = "malformed value for '" + std::string(key) + "': '" + value + "'";
+    return false;
+  };
+  if (const std::string* v = find("core")) request.core = *v;
+  if (const std::string* v = find("ic")) request.ic = *v;
+  for (auto [key, field] : {std::pair{"npx", &request.npx}, std::pair{"npz", &request.npz},
+                            std::pair{"ntracers", &request.ntracers},
+                            std::pair{"members", &request.members},
+                            std::pair{"steps", &request.steps}}) {
+    const std::string* v = find(key);
+    if (v != nullptr && !parse_int(*v, *field)) return malformed(key, *v);
+  }
+  if (const std::string* v = find("seed"); v != nullptr && !parse_u64(*v, request.seed)) {
+    return malformed("seed", *v);
+  }
+  if (const std::string* v = find("chaos")) {
+    int chaos = 0;
+    if (!parse_int(*v, chaos)) return malformed("chaos", *v);
+    request.chaos = chaos != 0;
+  }
+  if (const std::string* v = find("backend"); v != nullptr &&
+                                              !exec::parse_backend(*v, request.backend)) {
+    error = "unknown backend '" + *v + "'";
+    return false;
+  }
+  return true;
+}
 
 swe::SweConfig standard_swe_config(int npx, int ntracers) {
   swe::SweConfig cfg;
@@ -180,12 +262,46 @@ void ForecastService::worker_loop() {
   }
 }
 
+ForecastService::ShapeKey ForecastService::shape_key(const ForecastRequest& r) const {
+  // The SWE core has one level whatever npz says.
+  return {r.core, r.npx, r.core == "dycore" ? r.npz : 1, r.ntracers, r.backend,
+          options_.num_ranks};
+}
+
+ForecastService::CachedShape* ForecastService::find_shape(const ShapeKey& key) {
+  const auto it = std::find_if(shapes_.begin(), shapes_.end(),
+                               [&key](const CachedShape& shape) { return shape.key == key; });
+  if (it == shapes_.end()) return nullptr;
+  shapes_.splice(shapes_.begin(), shapes_, it);
+  return &shapes_.front();
+}
+
+void ForecastService::remember(const ShapeKey& key, const std::string& ic,
+                               const std::shared_ptr<const ir::Program>& program,
+                               const std::shared_ptr<const InitialState>& initial) {
+  CachedShape* shape = find_shape(key);
+  if (shape == nullptr) {
+    if (shapes_.size() == kShapeCacheCapacity) {
+      shapes_.pop_back();
+      ++stats_.cache_evictions;
+    }
+    shapes_.push_front(CachedShape{key, program, {}});
+    shape = &shapes_.front();
+  }
+  if (initial) shape->initial.try_emplace(ic, initial);
+}
+
 namespace {
 
+/// Run one batch. `program` and `initial` come in from the shape cache
+/// (null on a miss) and go out as what the batch used: a miss fills them
+/// with what the runner's member 0 built.
 template <class Model>
 void run_batch_core(const ForecastService::Options& options, const ForecastRequest& head,
-                    const std::vector<MemberSpec>& roster, std::vector<MemberForecast>& out,
-                    comm::RunReport& report) {
+                    const std::vector<MemberSpec>& roster,
+                    std::shared_ptr<const ir::Program>& program,
+                    std::shared_ptr<const InitialState>& initial,
+                    std::vector<MemberForecast>& out, comm::RunReport& report) {
   typename ModelTraits<Model>::Config config;
   if constexpr (std::is_same_v<Model, fv3::DistributedModel>) {
     config = standard_dycore_config(head.npx, head.npz, head.ntracers);
@@ -199,8 +315,10 @@ void run_batch_core(const ForecastService::Options& options, const ForecastReque
   opts.run = options.run;
   opts.run.backend = head.backend;
   opts.runtime = options.runtime;
-  EnsembleRunner<Model> runner(config, std::move(opts));
-  runner.init(head.ic);
+  EnsembleRunner<Model> runner(config, std::move(opts), program.get());
+  if (!program) program = std::make_shared<const ir::Program>(runner.member(0).program());
+  runner.init(head.ic, initial);
+  initial = runner.initial_state();
   if (head.chaos) {
     report = runner.run_resilient(head.steps);
     if (!report.ok) throw Error("resilient ensemble run failed: " + report.failure);
@@ -238,17 +356,38 @@ void ForecastService::run_batch(std::vector<Pending> batch) {
   std::vector<MemberSpec> roster;
   for (const Pending& p : batch) add_specs(roster, p.request);
 
+  const ShapeKey key = shape_key(head);
+  std::shared_ptr<const ir::Program> program;
+  std::shared_ptr<const InitialState> initial;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const CachedShape* cached = find_shape(key)) {
+      program = cached->program;
+      const auto it = cached->initial.find(head.ic);
+      if (it != cached->initial.end()) initial = it->second;
+    }
+  }
+  const bool program_cached = program != nullptr;
+  const bool initial_cached = initial != nullptr;
+
   std::vector<MemberForecast> outputs;
   comm::RunReport report;
   std::string error;
   try {
     if (head.core == "dycore") {
-      run_batch_core<fv3::DistributedModel>(options_, head, roster, outputs, report);
+      run_batch_core<fv3::DistributedModel>(options_, head, roster, program, initial, outputs,
+                                            report);
     } else {
-      run_batch_core<swe::SweModel>(options_, head, roster, outputs, report);
+      run_batch_core<swe::SweModel>(options_, head, roster, program, initial, outputs, report);
     }
   } catch (const std::exception& e) {
     error = e.what();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!program_cached && program) ++stats_.program_builds;
+    if (!initial_cached && initial) ++stats_.ic_builds;
+    if (program) remember(key, head.ic, program, initial);
   }
   const Clock::time_point end = Clock::now();
   const double run_seconds = seconds_between(start, end);

@@ -5,9 +5,13 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <list>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/verify/corpus.hpp"
@@ -35,6 +39,28 @@ struct ForecastRequest {
   exec::ExecBackend backend = exec::ExecBackend::OpenMP;
   bool chaos = false;  ///< run through the fault-injected resilient runtime
 };
+
+/// Upper bounds ForecastService::submit enforces on every request.
+/// Requests arrive untrusted over the socket protocol; the bounds keep them
+/// out of the partitioner's and the field shapes' size arithmetic (a
+/// request at every bound is still a large run: 64 members of a c48,
+/// 64-level, 8-tracer dycore).
+constexpr int kMaxRequestNpx = 48;
+constexpr int kMaxRequestNpz = 64;
+constexpr int kMaxRequestTracers = 8;
+constexpr int kMaxRequestMembers = 64;
+constexpr int kMaxRequestSteps = 1000;
+
+/// The socket protocol (tools/forecast_server): split `key=value` tokens;
+/// tokens without '=' are ignored.
+std::map<std::string, std::string> parse_kv(const std::vector<std::string>& tokens);
+
+/// Fill `request` from protocol keys (absent keys keep the request's
+/// values). Every numeric value must parse as a whole token: "12abc" is
+/// refused, not read as 12. Returns false with `error` set on a malformed
+/// value or an unknown backend; ForecastService::submit checks ranges.
+bool parse_request(const std::map<std::string, std::string>& kv, ForecastRequest& request,
+                   std::string& error);
 
 /// Two requests may share a batch iff everything that shapes the model run
 /// matches; seed and member count may differ (member identity travels in
@@ -77,6 +103,9 @@ struct ServiceStats {
   long coalesced_requests = 0;  ///< requests that shared a batch with another
   long member_steps = 0;
   double busy_seconds = 0;  ///< wall time workers spent running batches
+  long program_builds = 0;   ///< batches that built their shape's program
+  long ic_builds = 0;        ///< batches that evaluated their initial condition
+  long cache_evictions = 0;  ///< shapes dropped from the shape cache
 };
 
 /// Async job-queue front-end over EnsembleRunner: submit() enqueues, worker
@@ -85,8 +114,17 @@ struct ServiceStats {
 /// asking for the same member share one integration). Futures complete in
 /// batch order, so a late-submitted request that coalesces with the running
 /// head can finish before an earlier incompatible one.
+///
+/// A shape cache keeps, per model shape (core, npx, npz, ntracers, backend,
+/// ranks), the prepared program and the unperturbed initial state of each
+/// condition served, as the shape's first batch built them. Later batches
+/// of the shape build no program and evaluate no initial condition: their
+/// members copy both and only perturb. The cache holds the
+/// kShapeCacheCapacity most recently used shapes.
 class ForecastService {
  public:
+  static constexpr size_t kShapeCacheCapacity = 4;
+
   struct Options {
     int num_ranks = 6;
     int workers = 1;
@@ -132,8 +170,24 @@ class ForecastService {
     std::chrono::steady_clock::time_point submitted;
   };
 
+  using ShapeKey = std::tuple<std::string, int, int, int, exec::ExecBackend, int>;
+  struct CachedShape {
+    ShapeKey key;
+    std::shared_ptr<const ir::Program> program;
+    std::map<std::string, std::shared_ptr<const InitialState>> initial;  ///< by IC name
+  };
+
   void worker_loop();
   void run_batch(std::vector<Pending> batch);
+  [[nodiscard]] ShapeKey shape_key(const ForecastRequest& request) const;
+  /// The shape's cache entry, marked most recently used; null on a miss
+  /// (caller holds mutex_).
+  CachedShape* find_shape(const ShapeKey& key);
+  /// Keep what a batch of the shape used, evicting the least recently used
+  /// shape when full (caller holds mutex_).
+  void remember(const ShapeKey& key, const std::string& ic,
+                const std::shared_ptr<const ir::Program>& program,
+                const std::shared_ptr<const InitialState>& initial);
 
   Options options_;
   mutable std::mutex mutex_;
@@ -142,6 +196,7 @@ class ForecastService {
   std::deque<Pending> queue_;
   std::vector<std::thread> workers_;
   ServiceStats stats_;
+  std::list<CachedShape> shapes_;  ///< most recently used first
   uint64_t next_id_ = 1;
   long next_sequence_ = 1;
   int in_flight_ = 0;  ///< queued + running requests

@@ -14,13 +14,14 @@ bool GlobalDiagnostics::finite() const {
 
 DistributedModel::DistributedModel(const FvConfig& config, int num_ranks,
                                    const DycoreSchedules& schedules,
-                                   const std::function<FieldPlacer(int rank)>& placers)
+                                   const std::function<FieldPlacer(int rank)>& placers,
+                                   const ir::Program* program)
     : ModelDriver(config.npx, num_ranks), config_(config) {
   for (int r = 0; r < this->num_ranks(); ++r) {
     states_.push_back(std::make_unique<ModelState>(config_, partitioner(), r,
                                                    placers ? placers(r) : FieldPlacer{}));
   }
-  adopt(states_, build_dycore_program(*states_[0], schedules),
+  adopt(states_, program ? *program : build_dycore_program(*states_[0], schedules),
         ModelState::prognostic_names(config_.ntracers));
 }
 

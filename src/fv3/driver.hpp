@@ -27,10 +27,14 @@ class DistributedModel : public ModelDriver {
  public:
   /// `placers` optionally supplies a per-rank FieldPlacer routing every
   /// state-field allocation into external storage (the ensemble runtime's
-  /// member-major arenas); empty = each state owns its fields.
+  /// member-major arenas); empty = each state owns its fields. `program`
+  /// optionally supplies a prepared program of the same config to adopt a
+  /// copy of (sharing its compiled executors) instead of building one;
+  /// `schedules` are then unused.
   DistributedModel(const FvConfig& config, int num_ranks,
                    const DycoreSchedules& schedules = DycoreSchedules::tuned(),
-                   const std::function<FieldPlacer(int rank)>& placers = {});
+                   const std::function<FieldPlacer(int rank)>& placers = {},
+                   const ir::Program* program = nullptr);
 
   [[nodiscard]] ModelState& state(int rank) { return *states_[static_cast<size_t>(rank)]; }
 

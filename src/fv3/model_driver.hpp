@@ -87,7 +87,8 @@ class ModelDriver {
   ModelDriver(int npx, int num_ranks);
 
   /// Adopt the core's per-rank states (rank order; anything with catalog()
-  /// and domain()), its program, and the names exchange_prognostics()
+  /// and domain()), its program (freshly built, or a copy of a prepared one
+  /// that shares its executors), and the names exchange_prognostics()
   /// covers. The rank domains point into `states`, which the core owns for
   /// its whole lifetime.
   template <class State>

@@ -59,32 +59,19 @@ ModelState::ModelState(const FvConfig& config, const grid::Partitioner& part, in
   catalog_.create("ps", p2d);
 
   // Metric terms (copied so stencils can address them by name).
-  for (const char* name : {"dx", "dy", "rdx", "rdy", "area", "rarea", "cosa", "sina", "fcor"}) {
-    catalog_.create(name, p2d);
-  }
-  for (int j = -kHalo; j < nj + kHalo; ++j) {
-    for (int i = -kHalo; i < ni + kHalo; ++i) {
-      catalog_.at("dx")(i, j) = geom_.dx(i, j);
-      catalog_.at("dy")(i, j) = geom_.dy(i, j);
-      catalog_.at("rdx")(i, j) = 1.0 / geom_.dx(i, j);
-      catalog_.at("rdy")(i, j) = 1.0 / geom_.dy(i, j);
-      catalog_.at("area")(i, j) = geom_.area(i, j);
-      catalog_.at("rarea")(i, j) = geom_.rarea(i, j);
-      catalog_.at("cosa")(i, j) = geom_.cosa(i, j);
-      catalog_.at("sina")(i, j) = geom_.sina(i, j);
-      catalog_.at("fcor")(i, j) = geom_.fcor(i, j);
-    }
-  }
+  geom_.add_metric_fields(catalog_, p2d);
 
   // Hybrid vertical coordinate: pe_ref(k) = ak(k) + bk(k) * ps.
+  FieldD& ak_field = catalog_.at("ak");
+  FieldD& bk_field = catalog_.at("bk");
   for (int k = 0; k <= nk; ++k) {
     const double frac = static_cast<double>(k) / nk;
     const double bk = std::pow(frac, 1.2);
     const double ak = config_.ptop * (1.0 - bk);
     for (int j = -kHalo; j < nj + kHalo; ++j) {
       for (int i = -kHalo; i < ni + kHalo; ++i) {
-        catalog_.at("ak")(i, j, k) = ak;
-        catalog_.at("bk")(i, j, k) = bk;
+        ak_field(i, j, k) = ak;
+        bk_field(i, j, k) = bk;
       }
     }
   }

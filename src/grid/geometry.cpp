@@ -103,4 +103,30 @@ GridGeometry GridGeometry::build(const Partitioner& part, int rank, int halo) {
   return g;
 }
 
+void GridGeometry::add_metric_fields(FieldCatalog& catalog, const FieldShape& plane) const {
+  // Bind each field once: a catalog lookup per cell costs more than the copy.
+  FieldD& c_dx = catalog.create("dx", plane);
+  FieldD& c_dy = catalog.create("dy", plane);
+  FieldD& c_rdx = catalog.create("rdx", plane);
+  FieldD& c_rdy = catalog.create("rdy", plane);
+  FieldD& c_area = catalog.create("area", plane);
+  FieldD& c_rarea = catalog.create("rarea", plane);
+  FieldD& c_cosa = catalog.create("cosa", plane);
+  FieldD& c_sina = catalog.create("sina", plane);
+  FieldD& c_fcor = catalog.create("fcor", plane);
+  for (int j = -halo; j < rank_info.nj + halo; ++j) {
+    for (int i = -halo; i < rank_info.ni + halo; ++i) {
+      c_dx(i, j) = dx(i, j);
+      c_dy(i, j) = dy(i, j);
+      c_rdx(i, j) = 1.0 / dx(i, j);
+      c_rdy(i, j) = 1.0 / dy(i, j);
+      c_area(i, j) = area(i, j);
+      c_rarea(i, j) = rarea(i, j);
+      c_cosa(i, j) = cosa(i, j);
+      c_sina(i, j) = sina(i, j);
+      c_fcor(i, j) = fcor(i, j);
+    }
+  }
+}
+
 }  // namespace cyclone::grid

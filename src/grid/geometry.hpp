@@ -1,5 +1,6 @@
 #pragma once
 
+#include "core/field/catalog.hpp"
 #include "core/field/field.hpp"
 #include "grid/partitioner.hpp"
 
@@ -33,6 +34,11 @@ struct GridGeometry {
 
   /// Build metric fields for `rank` of the partitioning.
   static GridGeometry build(const Partitioner& part, int rank, int halo = 3);
+
+  /// Create the metric-term fields stencils address by name (dx, dy, rdx,
+  /// rdy, area, rarea, cosa, sina, fcor) in `catalog`, shaped `plane`, and
+  /// fill them, halo included.
+  void add_metric_fields(FieldCatalog& catalog, const FieldShape& plane) const;
 };
 
 }  // namespace cyclone::grid

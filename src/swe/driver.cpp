@@ -14,13 +14,14 @@ bool SweDiagnostics::finite() const {
 }
 
 SweModel::SweModel(const SweConfig& config, int num_ranks, const SweSchedules& schedules,
-                   const std::function<FieldPlacer(int rank)>& placers)
+                   const std::function<FieldPlacer(int rank)>& placers,
+                   const ir::Program* program)
     : ModelDriver(config.npx, num_ranks), config_(config) {
   for (int r = 0; r < this->num_ranks(); ++r) {
     states_.push_back(std::make_unique<SweState>(config_, partitioner(), r,
                                                  placers ? placers(r) : FieldPlacer{}));
   }
-  adopt(states_, build_swe_program(*states_[0], schedules),
+  adopt(states_, program ? *program : build_swe_program(*states_[0], schedules),
         SweState::prognostic_names(config_.ntracers));
 }
 

@@ -39,22 +39,7 @@ SweState::SweState(const SweConfig& config, const grid::Partitioner& part, int r
   for (const char* name : kTransients) catalog_.create(name, p2d);
 
   // Metric terms (copied so stencils can address them by name).
-  for (const char* name : {"dx", "dy", "rdx", "rdy", "area", "rarea", "cosa", "sina", "fcor"}) {
-    catalog_.create(name, p2d);
-  }
-  for (int j = -kHalo; j < info.nj + kHalo; ++j) {
-    for (int i = -kHalo; i < info.ni + kHalo; ++i) {
-      catalog_.at("dx")(i, j) = geom_.dx(i, j);
-      catalog_.at("dy")(i, j) = geom_.dy(i, j);
-      catalog_.at("rdx")(i, j) = 1.0 / geom_.dx(i, j);
-      catalog_.at("rdy")(i, j) = 1.0 / geom_.dy(i, j);
-      catalog_.at("area")(i, j) = geom_.area(i, j);
-      catalog_.at("rarea")(i, j) = geom_.rarea(i, j);
-      catalog_.at("cosa")(i, j) = geom_.cosa(i, j);
-      catalog_.at("sina")(i, j) = geom_.sina(i, j);
-      catalog_.at("fcor")(i, j) = geom_.fcor(i, j);
-    }
-  }
+  geom_.add_metric_fields(catalog_, p2d);
 }
 
 std::vector<std::string> SweState::tracer_names() const {

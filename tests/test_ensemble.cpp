@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "comm/verify_distributed.hpp"
+#include "core/exec/jit/cache.hpp"
 #include "core/verify/corpus.hpp"
 #include "ensemble/ensemble.hpp"
 #include "ensemble/service.hpp"
@@ -144,6 +146,67 @@ TEST(EnsembleArena, FieldCopyOfViewOwnsItsStorage) {
   live.copy_from(snapshot);  // restore writes back *through* the view
   EXPECT_EQ(live(0, 0, 0), before);
   EXPECT_TRUE(live.is_view());
+}
+
+// --- Initial-state snapshot -------------------------------------------------
+
+/// Every field of every rank of `a` and `b` holds the same bits over its
+/// whole allocation, halos and padding included.
+void expect_every_field_bitwise(fv3::ModelDriver& a, fv3::ModelDriver& b,
+                                const std::string& what) {
+  ASSERT_EQ(a.rank_domains().size(), b.rank_domains().size());
+  for (size_t r = 0; r < a.rank_domains().size(); ++r) {
+    FieldCatalog& ca = *a.rank_domains()[r].catalog;
+    FieldCatalog& cb = *b.rank_domains()[r].catalog;
+    ASSERT_EQ(ca.names(), cb.names());
+    for (const std::string& name : ca.names()) {
+      const FieldD& fa = ca.at(name);
+      const FieldD& fb = cb.at(name);
+      ASSERT_EQ(fa.shape().alloc_elems(), fb.shape().alloc_elems());
+      EXPECT_EQ(std::memcmp(fa.data(), fb.data(), fa.shape().alloc_elems() * sizeof(double)), 0)
+          << what << ": rank " << r << " field " << name;
+    }
+  }
+}
+
+/// Restoring a snapshot of `ic` into a fresh model and perturbing it stores
+/// exactly what a fresh apply_initial_condition plus the perturbation does.
+template <class Model>
+void check_snapshot_restore(const typename ModelTraits<Model>::Config& cfg,
+                            const std::string& ic) {
+  const MemberSpec spec{0x1C5ull, 3};
+  Model source(cfg, 6);
+  apply_initial_condition(source, ic);
+  const InitialState snapshot = InitialState::capture(source);
+  EXPECT_GT(snapshot.bytes(), 0u);
+
+  Model restored(cfg, 6);
+  snapshot.restore(restored);
+  perturb_model(restored, spec, 1e-3);
+  Model fresh(cfg, 6);
+  apply_initial_condition(fresh, ic);
+  perturb_model(fresh, spec, 1e-3);
+  expect_every_field_bitwise(restored, fresh, ModelTraits<Model>::core + std::string(" ") + ic);
+}
+
+TEST(EnsembleInitialState, RestorePlusPerturbMatchesFreshInitForEveryIc) {
+  for (const char* ic : {"baro", "solid"}) {
+    check_snapshot_restore<fv3::DistributedModel>(small_dycore(), ic);
+  }
+  for (const char* ic : {"hill", "vortex", "jet"}) {
+    check_snapshot_restore<swe::SweModel>(small_swe(), ic);
+  }
+}
+
+TEST(EnsembleInitialState, SnapshotKeepsOnlyNonZeroFields) {
+  fv3::DistributedModel model(small_dycore(), 6);
+  ensemble::apply_initial_condition(model, "baro");
+  const InitialState snapshot = InitialState::capture(model);
+  size_t model_bytes = 0;
+  for (int r = 0; r < model.num_ranks(); ++r) model_bytes += model.state(r).catalog().owned_bytes();
+  // The transients and the other all-zero intermediates stay out: the
+  // dycore's snapshot is well under half its state.
+  EXPECT_LT(2 * snapshot.bytes(), model_bytes);
 }
 
 // --- Batched vs solo (the tentpole contract) --------------------------------
@@ -452,7 +515,80 @@ TEST(ForecastService, InvalidRequestFailsFast) {
   ForecastRequest bad_ic = swe_request("tsunami", 2, 1);
   const ForecastResult r2 = service.submit(bad_ic).result.get();
   EXPECT_FALSE(r2.ok);
-  EXPECT_EQ(service.stats().failed, 2);
+
+  // Sizes beyond the fixed caps fail with a structured error naming the
+  // offending key, before any size arithmetic runs.
+  ForecastRequest dycore = swe_request("baro", 1, 1);
+  dycore.core = "dycore";
+  dycore.npz = 4;
+  std::vector<std::pair<ForecastRequest, std::string>> oversized;
+  for (int npx : {2000000000, kMaxRequestNpx + 1, 3}) {
+    ForecastRequest q = swe_request("hill", 1, 1);
+    q.npx = npx;
+    oversized.emplace_back(q, "npx");
+  }
+  for (int npz : {kMaxRequestNpz + 1, 1}) {
+    ForecastRequest q = dycore;
+    q.npz = npz;
+    oversized.emplace_back(q, "npz");
+  }
+  for (int members : {kMaxRequestMembers + 1, 0}) {
+    oversized.emplace_back(swe_request("hill", members, 1), "members");
+  }
+  for (int steps : {kMaxRequestSteps + 1, 0}) {
+    oversized.emplace_back(swe_request("hill", 1, 1, steps), "steps");
+  }
+  for (int ntracers : {kMaxRequestTracers + 1, 0}) {
+    ForecastRequest q = swe_request("hill", 1, 1);
+    q.ntracers = ntracers;
+    oversized.emplace_back(q, "ntracers");
+  }
+  for (const auto& [q, key] : oversized) {
+    const ForecastResult res = service.submit(q).result.get();
+    EXPECT_FALSE(res.ok) << key;
+    EXPECT_EQ(res.error.rfind(key + " must be in [", 0), 0u) << res.error;
+  }
+  EXPECT_EQ(service.stats().failed, 2 + static_cast<long>(oversized.size()));
+  EXPECT_EQ(service.stats().batches, 0);
+}
+
+TEST(ForecastProtocol, ParseRequestRequiresWholeTokens) {
+  ForecastRequest q;
+  std::string error;
+  ASSERT_TRUE(parse_request(parse_kv({"core=dycore", "ic=baro", "npx=24", "npz=8", "ntracers=2",
+                                      "members=3", "seed=0x5EEDC0DE", "steps=2", "chaos=1",
+                                      "backend=tape", "stray"}),
+                            q, error))
+      << error;
+  EXPECT_EQ(q.core, "dycore");
+  EXPECT_EQ(q.ic, "baro");
+  EXPECT_EQ(q.npx, 24);
+  EXPECT_EQ(q.npz, 8);
+  EXPECT_EQ(q.ntracers, 2);
+  EXPECT_EQ(q.members, 3);
+  EXPECT_EQ(q.seed, 0x5EEDC0DEull);
+  EXPECT_EQ(q.steps, 2);
+  EXPECT_TRUE(q.chaos);
+  EXPECT_EQ(q.backend, exec::ExecBackend::Tape);
+
+  // Absent keys keep the request's values.
+  ForecastRequest defaults;
+  ASSERT_TRUE(parse_request(parse_kv({"seed=17"}), defaults, error)) << error;
+  EXPECT_EQ(defaults.seed, 17u);
+  EXPECT_EQ(defaults.npx, ForecastRequest{}.npx);
+
+  for (const std::string token :
+       {"npx=12abc", "npx=", "npx=99999999999", "npz=4.5", "members= 3", "steps=2x",
+        "ntracers=0x2", "seed=12z", "seed=-1", "seed=", "seed=99999999999999999999", "chaos=yes"}) {
+    ForecastRequest r;
+    std::string err;
+    EXPECT_FALSE(parse_request(parse_kv({token}), r, err)) << token;
+    const std::string key = token.substr(0, token.find('='));
+    EXPECT_EQ(err.rfind("malformed value for '" + key + "'", 0), 0u) << token << ": " << err;
+  }
+  ForecastRequest r;
+  EXPECT_FALSE(parse_request(parse_kv({"backend=warp"}), r, error));
+  EXPECT_EQ(error, "unknown backend 'warp'");
 }
 
 TEST(ForecastService, DycoreRequestServed) {
@@ -471,6 +607,102 @@ TEST(ForecastService, DycoreRequestServed) {
   ASSERT_EQ(r.members.size(), 2u);
   // u, v, w, delp, pt, delz, q0
   EXPECT_EQ(r.members[0].fields.size(), 7u);
+}
+
+// --- Shape cache ------------------------------------------------------------
+
+/// `result`'s members equal solo integrations of their specs bit for bit.
+void expect_matches_solo(const ForecastService& service, const ForecastRequest& q,
+                         const ForecastResult& result) {
+  ASSERT_TRUE(result.ok) << result.error;
+  ASSERT_EQ(result.members.size(), static_cast<size_t>(q.members));
+  const swe::SweConfig cfg = standard_swe_config(q.npx, q.ntracers);
+  exec::RunOptions run = service.options().run;
+  run.backend = q.backend;
+  for (const MemberForecast& member : result.members) {
+    auto solo = solo_member<swe::SweModel>(cfg, service.options().num_ranks, run, q.ic,
+                                           member.spec, service.options().amplitude);
+    for (int s = 0; s < q.steps; ++s) solo->step();
+    std::vector<verify::RankView> views;
+    for (int r = 0; r < solo->num_ranks(); ++r) {
+      const grid::RankInfo info = solo->partitioner().info(r);
+      views.push_back(verify::RankView{&solo->state(r).catalog(), info.tile, info.i0, info.j0,
+                                       info.ni, info.nj});
+    }
+    ASSERT_EQ(member.fields.size(), swe::SweState::prognostic_names(q.ntracers).size());
+    for (const verify::GoldenField& field : member.fields) {
+      EXPECT_EQ(field, verify::assemble_field(field.name, grid::kNumFaces,
+                                              solo->partitioner().n(), views))
+          << "member " << member.spec.index << " field " << field.name;
+    }
+  }
+}
+
+TEST(ForecastService, SecondBatchOfCachedShapeBuildsNothing) {
+  ensemble::ForecastService service;
+  ForecastRequest first = swe_request("hill", 2, 11, 2);
+  first.backend = exec::ExecBackend::Jit;
+  expect_matches_solo(service, first, service.submit(first).result.get());
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.program_builds, 1);
+  EXPECT_EQ(stats.ic_builds, 1);
+
+  // Same shape and condition, other members: the batch copies the cached
+  // program (no JIT module lookup at all) and the cached initial state.
+  ForecastRequest second = first;
+  second.seed = 12;
+  second.members = 3;
+  const long mem_hits = exec::jit::KernelCache::global().stats().mem_hits;
+  const ForecastResult served = service.submit(second).result.get();
+  EXPECT_EQ(exec::jit::KernelCache::global().stats().mem_hits, mem_hits);
+  stats = service.stats();
+  EXPECT_EQ(stats.program_builds, 1);
+  EXPECT_EQ(stats.ic_builds, 1);
+  expect_matches_solo(service, second, served);
+
+  // Another condition of the shape reuses the program, evaluates its IC.
+  ForecastRequest vortex = second;
+  vortex.ic = "vortex";
+  expect_matches_solo(service, vortex, service.submit(vortex).result.get());
+  stats = service.stats();
+  EXPECT_EQ(stats.program_builds, 1);
+  EXPECT_EQ(stats.ic_builds, 2);
+  EXPECT_EQ(stats.cache_evictions, 0);
+}
+
+TEST(ForecastService, ShapeCacheEvictsLeastRecentlyUsed) {
+  ensemble::ForecastService service;
+  // Distinct shapes by tracer count, small enough to run in milliseconds.
+  const auto shape = [](int ntracers, uint64_t seed) {
+    ForecastRequest q = swe_request("jet", 2, seed);
+    q.npx = 8;
+    q.ntracers = ntracers;
+    return q;
+  };
+  const auto serve = [&service](const ForecastRequest& q) {
+    expect_matches_solo(service, q, service.submit(q).result.get());
+  };
+  const int capacity = static_cast<int>(ForecastService::kShapeCacheCapacity);
+  for (int t = 1; t <= capacity; ++t) serve(shape(t, 100 + t));
+  EXPECT_EQ(service.stats().program_builds, capacity);
+  EXPECT_EQ(service.stats().cache_evictions, 0);
+
+  serve(shape(1, 200));  // a hit: shape 1 becomes the most recently used
+  EXPECT_EQ(service.stats().program_builds, capacity);
+
+  serve(shape(capacity + 1, 300));  // one shape too many: evicts shape 2
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.program_builds, capacity + 1);
+  EXPECT_EQ(stats.cache_evictions, 1);
+
+  serve(shape(1, 400));  // still cached
+  EXPECT_EQ(service.stats().program_builds, capacity + 1);
+
+  serve(shape(2, 500));  // evicted: a miss that rebuilds, still bitwise equal to solo
+  stats = service.stats();
+  EXPECT_EQ(stats.program_builds, capacity + 2);
+  EXPECT_EQ(stats.ic_builds, capacity + 2);
+  EXPECT_EQ(stats.cache_evictions, 2);
 }
 
 // --- Chaos: crashed rank mid-batch recovers and stays bitwise ---------------
@@ -496,6 +728,34 @@ TEST(ForecastServiceChaos, CrashedRankMidBatchStillBitwiseCorrect) {
   same.chaos = false;
   const ForecastResult reference = clean.submit(same).result.get();
   ASSERT_TRUE(reference.ok) << reference.error;
+  ASSERT_EQ(faulted.members.size(), reference.members.size());
+  for (size_t m = 0; m < faulted.members.size(); ++m) {
+    EXPECT_EQ(faulted.members[m].fields, reference.members[m].fields) << "member " << m;
+  }
+}
+
+TEST(ForecastServiceChaos, CachedProgramCopiedPerRankStaysBitwiseCorrect) {
+  ensemble::ForecastService::Options options;
+  options.runtime.faults.drop_rate = 0.05;
+  options.runtime.faults.failure = comm::FaultPlan::Failure::Crash;
+  options.runtime.faults.fail_rank = 4;
+  options.runtime.faults.fail_step = 1;
+  options.runtime.faults.seed = 0xCAC4Eull;
+  ensemble::ForecastService service(options);
+
+  // A clean batch fills the shape cache; the chaos batch of the same shape
+  // then runs every member's concurrent runtime on per-rank copies of the
+  // cached program.
+  const ForecastRequest clean = swe_request("vortex", 2, 0xBEEFull, 2);
+  const ForecastResult reference = service.submit(clean).result.get();
+  ASSERT_TRUE(reference.ok) << reference.error;
+  ForecastRequest chaos = clean;
+  chaos.chaos = true;
+  const ForecastResult faulted = service.submit(chaos).result.get();
+  ASSERT_TRUE(faulted.ok) << faulted.error;
+  EXPECT_GE(faulted.report.restarts, 2);
+  EXPECT_EQ(service.stats().program_builds, 1);
+  EXPECT_EQ(service.stats().ic_builds, 1);
   ASSERT_EQ(faulted.members.size(), reference.members.size());
   for (size_t m = 0; m < faulted.members.size(); ++m) {
     EXPECT_EQ(faulted.members[m].fields, reference.members[m].fields) << "member " << m;

@@ -37,6 +37,8 @@ using namespace cyclone;
 using ensemble::ForecastRequest;
 using ensemble::ForecastResult;
 using ensemble::ForecastService;
+using ensemble::parse_kv;
+using ensemble::parse_request;
 
 // --- Line framing over a stream socket --------------------------------------
 
@@ -65,45 +67,6 @@ bool recv_line(int fd, std::string& line, std::string& buffer) {
     if (n <= 0) return false;
     buffer.append(chunk, static_cast<size_t>(n));
   }
-}
-
-// --- key=value command parsing ----------------------------------------------
-
-std::map<std::string, std::string> parse_kv(const std::vector<std::string>& tokens) {
-  std::map<std::string, std::string> kv;
-  for (const std::string& token : tokens) {
-    const size_t eq = token.find('=');
-    if (eq != std::string::npos) kv[token.substr(0, eq)] = token.substr(eq + 1);
-  }
-  return kv;
-}
-
-bool parse_request(const std::map<std::string, std::string>& kv, ForecastRequest& request,
-                   std::string& error) {
-  auto get = [&kv](const char* key, const std::string& fallback) {
-    const auto it = kv.find(key);
-    return it == kv.end() ? fallback : it->second;
-  };
-  try {
-    request.core = get("core", request.core);
-    request.ic = get("ic", request.ic);
-    request.npx = std::stoi(get("npx", std::to_string(request.npx)));
-    request.npz = std::stoi(get("npz", std::to_string(request.npz)));
-    request.ntracers = std::stoi(get("ntracers", std::to_string(request.ntracers)));
-    request.members = std::stoi(get("members", std::to_string(request.members)));
-    request.seed = std::stoull(get("seed", std::to_string(request.seed)), nullptr, 0);
-    request.steps = std::stoi(get("steps", std::to_string(request.steps)));
-    request.chaos = std::stoi(get("chaos", request.chaos ? "1" : "0")) != 0;
-    const std::string backend = get("backend", "openmp");
-    if (!exec::parse_backend(backend, request.backend)) {
-      error = "unknown backend '" + backend + "'";
-      return false;
-    }
-  } catch (const std::exception&) {
-    error = "malformed numeric argument";
-    return false;
-  }
-  return true;
 }
 
 std::string hex64(uint64_t v) {
@@ -174,7 +137,8 @@ void handle_connection(ServerState& state, int fd) {
            << ", \"batches\": " << s.batches
            << ", \"coalesced_requests\": " << s.coalesced_requests
            << ", \"member_steps\": " << s.member_steps << ", \"busy_seconds\": " << s.busy_seconds
-           << "}";
+           << ", \"program_builds\": " << s.program_builds << ", \"ic_builds\": " << s.ic_builds
+           << ", \"cache_evictions\": " << s.cache_evictions << "}";
       send_line(fd, json.str());
     } else if (command == "shutdown") {
       state.stopping.store(true);
