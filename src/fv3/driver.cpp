@@ -21,7 +21,7 @@ DistributedModel::DistributedModel(const FvConfig& config, int num_ranks,
     states_.push_back(std::make_unique<ModelState>(config_, partitioner(), r,
                                                    placers ? placers(r) : FieldPlacer{}));
   }
-  adopt(states_, program ? *program : build_dycore_program(*states_[0], schedules),
+  adopt(states_, program, [&] { return build_dycore_program(*states_[0], schedules); },
         ModelState::prognostic_names(config_.ntracers));
 }
 

@@ -30,7 +30,8 @@ class DistributedModel : public ModelDriver {
   /// member-major arenas); empty = each state owns its fields. `program`
   /// optionally supplies a prepared program of the same config to adopt a
   /// copy of (sharing its compiled executors) instead of building one;
-  /// `schedules` are then unused.
+  /// `schedules` are then unused. A built program runs the production pass
+  /// list (fv3::kProductionPasses); an adopted copy is not passed again.
   DistributedModel(const FvConfig& config, int num_ranks,
                    const DycoreSchedules& schedules = DycoreSchedules::tuned(),
                    const std::function<FieldPlacer(int rank)>& placers = {},

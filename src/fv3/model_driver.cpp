@@ -1,9 +1,21 @@
 #include "fv3/model_driver.hpp"
 
+#include <stdexcept>
+
 #include "core/exec/engine.hpp"
+#include "core/verify/pipeline.hpp"
 #include "fv3/serialization.hpp"
 
 namespace cyclone::fv3 {
+
+void apply_production_passes(ir::Program& program, const exec::LaunchDomain& dom) {
+  for (const std::string_view name : kProductionPasses) {
+    const verify::PassResult r = verify::apply_pass(program, std::string(name), dom);
+    if (!r.known || r.placement_dependent) {
+      throw std::logic_error("production pass " + r.name + " is unknown or placement-dependent");
+    }
+  }
+}
 
 ModelDriver::ModelDriver(int npx, int num_ranks)
     : part_(grid::Partitioner::for_ranks(npx, num_ranks)),

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "comm/halo.hpp"
@@ -9,6 +11,23 @@
 #include "grid/partitioner.hpp"
 
 namespace cyclone::fv3 {
+
+/// The production pass list: the verify::apply_pass rungs every freshly
+/// built model program runs once, in this order, so the interpreter and the
+/// compiled backends all execute the rewritten IR (DESIGN.md, "Production
+/// pass list"). A rung must be a deterministic rewrite that tunes nothing at
+/// build time, hold on every placement (one program serves all ranks), and
+/// win in perfbench pairs.
+///   strength_reduce — d_sw's Smagorinsky pow(pow(a, 2) + pow(b, 2), 0.5)
+///     becomes sqrt(a * a + b * b): dycore_c48 step_ms.p50 about 14% lower
+///     in 10 of 10 perfbench pairs (EXPERIMENTS.md, Sec. VI-C1).
+inline constexpr std::array<std::string_view, 1> kProductionPasses = {"strength_reduce"};
+
+/// Run kProductionPasses on a freshly built program; `dom` is any rank's
+/// launch domain. Every pass drops the compiled executors, so never call
+/// this on a copy of a prepared program (it would lose the executors and
+/// JIT module the copy shares).
+void apply_production_passes(ir::Program& program, const exec::LaunchDomain& dom);
 
 /// The scheduler plumbing of a model core (fv3::DistributedModel,
 /// swe::SweModel): one program run on all ranks of a simulated cubed-sphere
@@ -87,16 +106,22 @@ class ModelDriver {
   ModelDriver(int npx, int num_ranks);
 
   /// Adopt the core's per-rank states (rank order; anything with catalog()
-  /// and domain()), its program (freshly built, or a copy of a prepared one
-  /// that shares its executors), and the names exchange_prognostics()
-  /// covers. The rank domains point into `states`, which the core owns for
-  /// its whole lifetime.
-  template <class State>
-  void adopt(const std::vector<std::unique_ptr<State>>& states, ir::Program program,
-             std::vector<std::string> prognostics) {
+  /// and domain()), its program, and the names exchange_prognostics()
+  /// covers. The program is a copy of `prepared` when given (sharing its
+  /// executors, and already passed), else `build()` run through
+  /// kProductionPasses. The rank domains point into `states`, which the
+  /// core owns for its whole lifetime.
+  template <class State, class Build>
+  void adopt(const std::vector<std::unique_ptr<State>>& states, const ir::Program* prepared,
+             Build&& build, std::vector<std::string> prognostics) {
     ranks_.clear();
     for (const auto& st : states) ranks_.push_back(comm::RankDomain{&st->catalog(), st->domain()});
-    program_ = std::move(program);
+    if (prepared) {
+      program_ = *prepared;
+    } else {
+      program_ = build();
+      apply_production_passes(program_, ranks_.front().dom);
+    }
     prognostics_ = std::move(prognostics);
   }
 

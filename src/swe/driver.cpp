@@ -21,7 +21,7 @@ SweModel::SweModel(const SweConfig& config, int num_ranks, const SweSchedules& s
     states_.push_back(std::make_unique<SweState>(config_, partitioner(), r,
                                                  placers ? placers(r) : FieldPlacer{}));
   }
-  adopt(states_, program ? *program : build_swe_program(*states_[0], schedules),
+  adopt(states_, program, [&] { return build_swe_program(*states_[0], schedules); },
         SweState::prognostic_names(config_.ntracers));
 }
 

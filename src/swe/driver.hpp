@@ -32,7 +32,8 @@ class SweModel : public fv3::ModelDriver {
   /// member-major arenas); empty = each state owns its fields. `program`
   /// optionally supplies a prepared program of the same config to adopt a
   /// copy of (sharing its compiled executors) instead of building one;
-  /// `schedules` are then unused.
+  /// `schedules` are then unused. A built program runs the production pass
+  /// list (fv3::kProductionPasses); an adopted copy is not passed again.
   SweModel(const SweConfig& config, int num_ranks,
            const SweSchedules& schedules = SweSchedules::tuned(),
            const std::function<FieldPlacer(int rank)>& placers = {},

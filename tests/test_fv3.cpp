@@ -3,7 +3,10 @@
 #include <cmath>
 
 #include "core/exec/tape.hpp"
+#include "core/ir/lint.hpp"
 #include "core/util/rng.hpp"
+#include "core/verify/verify.hpp"
+#include "core/xform/expr_rewrite.hpp"
 #include "fv3/driver.hpp"
 #include "fv3/init/baroclinic.hpp"
 #include "fv3/stencils/c_sw.hpp"
@@ -13,6 +16,8 @@
 #include "fv3/stencils/remap.hpp"
 #include "fv3/stencils/riem_solver.hpp"
 #include "fv3/stencils/update_dz.hpp"
+#include "swe/driver.hpp"
+#include "swe/swe_core.hpp"
 
 namespace cyclone::fv3 {
 namespace {
@@ -356,6 +361,50 @@ TEST(Dycore, ProgramHasExpectedStructure) {
   EXPECT_GE(stats.halo_exchanges, 3);
   // The acoustic body repeats k_split * n_split times.
   EXPECT_EQ(stats.max_node_invocations, cfg.k_split * cfg.n_split);
+}
+
+// ---- production pass list -------------------------------------------------
+
+/// `pow` sites over every statement of every stencil node.
+int pow_sites(const ir::Program& prog) {
+  int n = 0;
+  for (const auto& st : prog.states()) {
+    for (const auto& node : st.nodes) {
+      if (node.kind != ir::SNode::Kind::Stencil) continue;
+      for (const auto& block : node.stencil->blocks()) {
+        for (const auto& iv : block.intervals) {
+          for (const auto& stmt : iv.body) n += xform::count_pow(stmt.rhs);
+        }
+      }
+    }
+  }
+  return n;
+}
+
+TEST(ProductionPasses, ModelProgramIsStrengthReducedRawBuilderIsNot) {
+  DistributedModel model(small_config(), 6);
+  const int raw = pow_sites(build_dycore_program(model.state(0)));
+  // The raw builder keeps d_sw's three Smagorinsky sites and pressure's
+  // pow(pe, kappa), so the ladder benches still have something to rewrite.
+  EXPECT_EQ(raw, 4);
+  // The model program loses all three Smagorinsky sites.
+  EXPECT_EQ(pow_sites(model.program()), raw - 3);
+}
+
+TEST(ProductionPasses, SweProgramHasNothingToRewrite) {
+  swe::SweConfig cfg;
+  cfg.npx = 12;
+  swe::SweModel model(cfg, 6);
+  EXPECT_EQ(ir::to_json(model.program()), ir::to_json(swe::build_swe_program(model.state(0))));
+}
+
+TEST(ProductionPasses, ListIsTranslationValidatedOnTheDycore) {
+  DistributedModel model(small_config(), 6);
+  verify::VerifyOptions options;
+  options.domains = {model.state(0).domain()};  // fields sized for this tile
+  const verify::EquivalenceReport report =
+      verify::check_equivalent(build_dycore_program(model.state(0)), model.program(), options);
+  EXPECT_TRUE(report.equivalent) << report.first_failure();
 }
 
 TEST(Dycore, SixRankStepStaysFiniteAndConservesMass) {
