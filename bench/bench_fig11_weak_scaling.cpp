@@ -65,18 +65,17 @@ double comm_time_per_step(const fv3::FvConfig& cfg, int ranks_per_tile) {
 
 /// Measured per-step wall time of the real distributed dycore under one of
 /// the schedulers. Concurrent runs simulate interconnect latency on every
-/// message (scaled alpha-beta model), so the overlap win is the latency the
-/// interior compute actually hides — measured, not modeled.
-Timing measured_step_seconds(const fv3::FvConfig& cfg, int ranks, bool concurrent, bool overlap,
-                             double net_scale, comm::RuntimeStats* stats_out = nullptr) {
+/// message (scaled alpha-beta model); lockstep runs exchange through the
+/// in-process mailboxes.
+Timing measured_step_seconds(const fv3::FvConfig& cfg, int ranks, bool concurrent,
+                             double net_scale) {
   fv3::DistributedModel model(cfg, ranks);
   exec::RunOptions run;
-  run.threads_per_rank = 1;  // one hardware thread per rank; isolate overlap
+  run.threads_per_rank = 1;  // one hardware thread per rank
   model.set_run_options(run);
   if (concurrent) {
     model.set_exec_mode(fv3::DistributedModel::ExecMode::Concurrent);
     comm::RuntimeOptions ro;
-    ro.overlap = overlap;
     ro.channel.recv_timeout_seconds = bench::recv_timeout_seconds();
     ro.channel.simulate_network = true;
     ro.channel.network_time_scale = net_scale;
@@ -84,15 +83,17 @@ Timing measured_step_seconds(const fv3::FvConfig& cfg, int ranks, bool concurren
   }
   fv3::init_baroclinic(model);
   // The warm-up step builds the runtime and all compiled stencils.
-  const Timing t = time_reps(bench::kReps, [&] { model.step(); });
-  if (concurrent && stats_out != nullptr) *stats_out = model.concurrent_runtime().stats();
-  return t;
+  return time_reps(bench::kReps, [&] { model.step(); });
 }
 
-/// A halo-diffusion chain where *every* halo state passes the overlap
-/// analysis (radius-2 reads, no anti-dependences): `trips` iterations of
-/// exchange(q) -> lap/out stencils -> q = out. Upper bound on what overlap
-/// can buy, next to the dycore rows where only some states split.
+/// "median [min, max]" of a timing.
+std::string with_range(const Timing& t) {
+  return str::human_time(t.median) + " [" + str::human_time(t.min) + ", " +
+         str::human_time(t.max) + "]";
+}
+
+/// A halo-diffusion chain: `trips` iterations of exchange(q) -> lap/out
+/// stencils -> q = out. The fault-tolerance and elastic rows run it.
 ir::Program diffusion_chain(int trips) {
   ir::Program p("diffusion-chain");
   const int hx = p.add_state(ir::State{"hx", {ir::SNode::make_halo_exchange("hx.q", {"q"}, 3)}});
@@ -114,30 +115,6 @@ ir::Program diffusion_chain(int trips) {
       "it", trips,
       {ir::CFNode::state_ref(hx), ir::CFNode::state_ref(cm), ir::CFNode::state_ref(cp)}));
   return p;
-}
-
-Timing measured_diffusion_seconds(int num_ranks, bool concurrent, bool overlap,
-                                  double net_scale) {
-  const ir::Program p = diffusion_chain(/*trips=*/8);
-  // Weak scaling: 48x48 per rank at every rank count (as in Fig. 11).
-  const int side = static_cast<int>(std::lround(std::sqrt(num_ranks / 6.0)));
-  const grid::Partitioner part = grid::Partitioner::for_ranks(48 * side, num_ranks);
-  const comm::HaloUpdater halo(part, 3);
-  const auto doms = comm::launch_domains(part, /*nk=*/32);
-  std::vector<FieldCatalog> cats = verify::seeded_catalogs(p, doms, 0xF16);
-  std::vector<comm::RankDomain> ranks = comm::bind_ranks(cats, doms);
-
-  if (!concurrent) {
-    comm::SimComm sim(num_ranks);
-    return time_reps(bench::kReps, [&] { comm::run_lockstep_step(p, halo, ranks, sim); });
-  }
-  comm::RuntimeOptions ro;
-  ro.overlap = overlap;
-  ro.channel.recv_timeout_seconds = bench::recv_timeout_seconds();
-  ro.channel.simulate_network = true;
-  ro.channel.network_time_scale = net_scale;
-  comm::ConcurrentRuntime rt(p, halo, ranks, ro);
-  return time_reps(bench::kReps, [&] { rt.step(); });
 }
 
 /// The elastic shrink/grow timeline: step the diffusion chain through the
@@ -357,69 +334,34 @@ int main(int argc, char** argv) {
 
   // ---- Measured: thread-per-rank concurrent runtime ----------------------
   // The numbers above are modeled; this section runs the real distributed
-  // dycore (scaled-down domain, one OS thread per rank) and measures the
-  // lockstep scheduler against the concurrent runtime with halo overlap off
-  // and on. Message delivery simulates a scaled Aries alpha-beta latency so
-  // the overlap win — latency hidden behind interior compute — is visible on
-  // a single machine.
+  // dycore (scaled-down domain, one OS thread per rank) under the lockstep
+  // scheduler and under the concurrent runtime, whose messages carry a
+  // scaled Aries alpha-beta latency. Each cell is the median of the timed
+  // steps with their [min, max].
   bench::print_rule();
   std::printf("Measured (not modeled): distributed dycore wall-clock per step\n");
   {
-    // Latency scale: with every rank thread multiplexed onto the same cores,
-    // short delays are hidden by thread switching no matter the schedule;
-    // the win only becomes attributable to overlap once a message's flight
-    // time rivals the interior compute it can hide behind. Real networks
-    // reach that regime at scale via contention.
     const double net_scale = 12000.0;
-    std::printf("%-22s %6s %12s %16s %14s %12s\n", "program", "ranks", "lockstep",
-                "conc no-overlap", "conc overlap", "overlap win");
-    // One row of the table and its three JSON records (medians throughout).
-    const auto report = [](const std::string& program, const std::string& label, int ranks,
-                           const Timing& lockstep, const Timing& conc_off,
-                           const Timing& conc_on) {
-      std::printf("%-22s %6d %12s %16s %14s %11.2f%%\n", label.c_str(), ranks,
-                  str::human_time(lockstep.median).c_str(),
-                  str::human_time(conc_off.median).c_str(),
-                  str::human_time(conc_on.median).c_str(),
-                  100.0 * (conc_off.median - conc_on.median) / conc_off.median);
-      const std::string r = "_r" + std::to_string(ranks);
-      bench::emit_json_record("fig11_measured", program + "_lockstep" + r, 1, lockstep, 1.0);
-      bench::emit_json_record("fig11_measured", program + "_concurrent_nooverlap" + r, 1,
-                              conc_off, lockstep.median / conc_off.median);
-      bench::emit_json_record("fig11_measured", program + "_concurrent_overlap" + r, 1, conc_on,
-                              lockstep.median / conc_on.median);
-    };
+    std::printf("%-8s %6s %32s %32s %10s\n", "program", "ranks", "lockstep [min, max]",
+                "concurrent [min, max]", "conc/lock");
     for (int ranks : {6, 24}) {
       // Weak scaling: 24x24x16 per rank at every rank count.
       const int side = static_cast<int>(std::lround(std::sqrt(ranks / 6.0)));
       fv3::FvConfig mcfg = bench::paper_config(/*npx=*/24 * side, /*npz=*/16);
       mcfg.k_split = 1;
       mcfg.n_split = 3;
-      comm::RuntimeStats stats;
-      const Timing lockstep = measured_step_seconds(mcfg, ranks, false, false, net_scale);
-      const Timing conc_off = measured_step_seconds(mcfg, ranks, true, false, net_scale);
-      const Timing conc_on = measured_step_seconds(mcfg, ranks, true, true, net_scale, &stats);
-      const long halo_per_step = stats.steps > 0 ? stats.halo_states / stats.steps : 0;
-      const long split_per_step = stats.steps > 0 ? stats.overlapped_states / stats.steps : 0;
-      char label[64];
-      std::snprintf(label, sizeof label, "dycore (%ld/%ld split)", split_per_step,
-                    halo_per_step);
-      report("dycore", label, ranks, lockstep, conc_off, conc_on);
-    }
-    // Fully splittable chain: every halo state overlaps, so this row is the
-    // upper bound of what interior/rim splitting buys at this latency.
-    for (int ranks : {6, 24}) {
-      const double d_scale = 10000.0;
-      report("diffusion", "diffusion (8/8 split)", ranks,
-             measured_diffusion_seconds(ranks, false, false, d_scale),
-             measured_diffusion_seconds(ranks, true, false, d_scale),
-             measured_diffusion_seconds(ranks, true, true, d_scale));
+      const Timing lockstep = measured_step_seconds(mcfg, ranks, false, net_scale);
+      const Timing concurrent = measured_step_seconds(mcfg, ranks, true, net_scale);
+      std::printf("%-8s %6d %32s %32s %9.2fx\n", "dycore", ranks, with_range(lockstep).c_str(),
+                  with_range(concurrent).c_str(), concurrent.median / lockstep.median);
+      const std::string r = "_r" + std::to_string(ranks);
+      bench::emit_json_record("fig11_measured", "dycore_lockstep" + r, 1, lockstep, 1.0);
+      bench::emit_json_record("fig11_measured", "dycore_concurrent" + r, 1, concurrent,
+                              lockstep.median / concurrent.median);
     }
     std::printf(
-        "Anti-dependences pin most dycore halo states to the unsplit path, and the\n"
-        "rim recompute serializes across rank threads on shared cores, so the dycore\n"
-        "rows sit near zero here; the fully splittable chain shows the simulated\n"
-        "flight time genuinely hidden behind interior compute.\n");
+        "Each rank is one OS thread: where ranks outnumber the cores, the concurrent\n"
+        "column measures oversubscription as much as the runtime.\n");
   }
 
   // ---- Measured: fault-tolerance overhead --------------------------------
@@ -478,9 +420,9 @@ int main(int argc, char** argv) {
       if (std::strcmp(sc.name, "clean") == 0) clean_seconds = per_step.median;
       const comm::ReliabilityCounters& c = rr.channel;
       std::printf(
-          "  %-18s %s/step (%+.1f%%)  retransmits=%ld corrupt_detected=%ld dups_dropped=%ld "
+          "  %-18s %s per step (%+.1f%%)  retransmits=%ld corrupt_detected=%ld dups_dropped=%ld "
           "restarts=%d rolled_back=%ld%s\n",
-          sc.name, str::human_time(per_step.median).c_str(),
+          sc.name, with_range(per_step).c_str(),
           100.0 * (per_step.median - clean_seconds) / clean_seconds, c.retransmits,
           c.corrupt_detected, c.dups_dropped, rr.restarts, rr.rolled_back_steps,
           rr.ok ? "" : "  [FAILED]");

@@ -44,8 +44,8 @@ class ConcurrentComm : public Comm {
     int arrival_jitter_max_us = 200;
     /// Simulate interconnect cost: each message is additionally held back by
     /// the alpha-beta time of the network model (scaled by time_scale). Lets
-    /// the weak-scaling bench measure how much latency overlap actually
-    /// hides without real hardware.
+    /// the weak-scaling bench put interconnect latency into a measured step
+    /// without real hardware.
     bool simulate_network = false;
     NetworkModel network{};
     double network_time_scale = 1.0;

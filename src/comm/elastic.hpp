@@ -99,8 +99,8 @@ struct ResizeRecord {
   std::string trigger;          ///< "script" | "imbalance" | "death" | "rejoin"
   std::string error;            ///< non-empty = rejected (roster unchanged)
   double snapshot_seconds = 0;  ///< quiesce + assemble owned subdomains
-  double rebuild_seconds = 0;   ///< new partitioner/catalogs/scatter + overlap
-                                ///< re-analysis + per-rank precompile
+  double rebuild_seconds = 0;   ///< new partitioner/catalogs/scatter + the new
+                                ///< runtime's program copy
   double refresh_seconds = 0;   ///< halo-exchange replay on the new topology
 
   [[nodiscard]] double total_seconds() const {
@@ -202,8 +202,8 @@ class ElasticCheckpointStore : public CheckpointStore {
 /// owned subdomains into the global checkpoint form, rebuild the partitioner
 /// / HaloUpdater / per-rank catalogs for the new roster, scatter, replay the
 /// program's halo exchanges once on the new topology, and rebuild the
-/// concurrent runtime (which re-runs overlap analysis and per-rank
-/// precompilation). Because the model programs are decomposition-invariant
+/// concurrent runtime (one copy of the already precompiled program, so no
+/// executor is rebuilt). Because the model programs are decomposition-invariant
 /// (pinned by the corpus goldens), owned results after any resize sequence
 /// are bitwise identical to the static-membership run.
 class ElasticRuntime {

@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
-
-#include "core/exec/extents.hpp"
-#include "core/util/strings.hpp"
 
 namespace cyclone::comm {
 
@@ -195,7 +191,7 @@ void exchange_sides(std::vector<NodeSide>& sides, int threads) {
   for (auto& side : sides) side.release();
 }
 
-/// One rank side of a compute state: the program copy that runs it and the
+/// One rank side of a compute state: the program that runs it and the
 /// rank's catalog and domain.
 struct ComputeSide {
   const ir::Program* program;
@@ -305,145 +301,6 @@ void run_lockstep_step(std::span<const ir::Program* const> programs,
   }
 }
 
-// --- Overlap analysis -------------------------------------------------------
-
-namespace {
-
-/// Horizontal apply-rectangle extension of one statement beyond the launch
-/// rectangle (write extent from the extent analysis plus the node's own
-/// domain extension), per side. Two statements with equal tuples cover any
-/// cell in exactly the same set of interior/rim launches.
-struct ExtTuple {
-  int ilo = 0, ihi = 0, jlo = 0, jhi = 0;
-  [[nodiscard]] bool zero() const { return !ilo && !ihi && !jlo && !jhi; }
-  [[nodiscard]] int max() const { return std::max({ilo, ihi, jlo, jhi, 0}); }
-  friend bool operator==(const ExtTuple&, const ExtTuple&) = default;
-};
-
-struct FlatAccess {
-  std::string lhs;  ///< resolved: catalog name, or per-node-scoped temp key
-  ExtTuple ext;
-  struct Read {
-    std::string name;
-    int h_off = 0;  ///< max |horizontal offset|
-    int k_lo = 0, k_hi = 0;
-  };
-  std::vector<Read> reads;
-};
-
-}  // namespace
-
-OverlapPlan analyze_overlap(const ir::Program& program, int state_index) {
-  OverlapPlan plan;
-  CY_REQUIRE_MSG(state_index >= 0 && state_index < static_cast<int>(program.states().size()),
-                 "state index " << state_index << " out of range");
-  const ir::State& st = program.states()[static_cast<size_t>(state_index)];
-  if (st.nodes.empty()) {
-    plan.reason = "empty state";
-    return plan;
-  }
-
-  // Flatten every statement of the state into execution order, resolving
-  // field names through the node's argument binding. Temporaries are scoped
-  // per node (each launch has private scratch), so they can never alias a
-  // catalog field or another node's temp.
-  std::vector<FlatAccess> flat;
-  for (size_t n = 0; n < st.nodes.size(); ++n) {
-    const ir::SNode& node = st.nodes[n];
-    if (node.kind != ir::SNode::Kind::Stencil) {
-      plan.reason = "non-stencil node '" + node.label + "'";
-      return plan;
-    }
-    const auto temp_key = [n](const std::string& name) {
-      return str::numbered("#", n) + ":" + name;
-    };
-    for (const auto& a : exec::collect_stmt_accesses(*node.stencil)) {
-      FlatAccess fa;
-      fa.lhs = a.lhs_is_temp ? temp_key(a.lhs) : node.args.actual(a.lhs);
-      fa.ext = ExtTuple{-a.write_extent.i_lo + node.ext.ilo, a.write_extent.i_hi + node.ext.ihi,
-                        -a.write_extent.j_lo + node.ext.jlo, a.write_extent.j_hi + node.ext.jhi};
-      for (const auto& r : a.reads) {
-        FlatAccess::Read read;
-        read.name = r.is_temp ? temp_key(r.name) : node.args.actual(r.name);
-        read.h_off = std::max({-r.ext.i_lo, r.ext.i_hi, -r.ext.j_lo, r.ext.j_hi});
-        read.k_lo = r.ext.k_lo;
-        read.k_hi = r.ext.k_hi;
-        fa.reads.push_back(std::move(read));
-      }
-      flat.push_back(std::move(fa));
-    }
-  }
-
-  // Rule 1 (anti-dependences): a read of a name that the same or a later
-  // statement writes. At nonzero horizontal offset the rim pass would see
-  // post-state values where the full launch saw pre-state ones — never
-  // splittable. At zero horizontal offset the read-then-write must happen
-  // exactly once per cell and inside one launch, which requires both rects
-  // to tile the launch rectangle exactly (zero extension). The one
-  // exception is a statement's own vertical recurrence (reads its own LHS
-  // only at k offsets): each launch re-runs the whole column sweep, so the
-  // recurrence is recomputed identically from its (idempotent) base.
-  for (size_t p = 0; p < flat.size(); ++p) {
-    for (const auto& read : flat[p].reads) {
-      for (size_t q = p; q < flat.size(); ++q) {
-        if (flat[q].lhs != read.name) continue;
-        if (read.h_off > 0) {
-          plan.reason = "statement " + std::to_string(p) + " reads '" + read.name +
-                        "' at horizontal offset " + std::to_string(read.h_off) +
-                        " which statement " + std::to_string(q) + " overwrites";
-          return plan;
-        }
-        const bool self_recurrence = q == p && (read.k_lo > 0 || read.k_hi < 0);
-        if (self_recurrence) continue;  // handled by rule 2's writer equality
-        if (!flat[p].ext.zero() || !flat[q].ext.zero()) {
-          plan.reason = "read-modify-write of '" + read.name +
-                        "' with an extended apply domain (statements " + std::to_string(p) +
-                        ", " + std::to_string(q) + ")";
-          return plan;
-        }
-      }
-    }
-  }
-
-  // Rule 2 (output dependences): every writer of a multiply-written name
-  // must carry the same extension tuple. Equal rects mean every launch that
-  // covers a cell runs *all* its writers in program order, so the final
-  // value comes from the same statement as in the full launch.
-  {
-    std::map<std::string, ExtTuple> writer_ext;
-    for (const auto& fa : flat) {
-      auto [it, inserted] = writer_ext.emplace(fa.lhs, fa.ext);
-      if (!inserted && !(it->second == fa.ext)) {
-        plan.reason = "'" + fa.lhs + "' is written by statements with different apply extensions";
-        return plan;
-      }
-    }
-  }
-
-  // Transitive read radius: how deep into the owned region a cell must sit
-  // for its value (through all intermediates and apply extensions) to be a
-  // function of owned pre-state cells only. depth[f] = how far f's written
-  // values reach; a statement's reads reach base depth + |offset|, and its
-  // own rect extends ext.max() beyond the launch rectangle.
-  std::map<std::string, int> depth;
-  int radius = 0;
-  for (const auto& fa : flat) {
-    int d = 0;
-    for (const auto& read : fa.reads) {
-      auto it = depth.find(read.name);
-      const int base = it == depth.end() ? 0 : it->second;
-      d = std::max(d, base + read.h_off);
-    }
-    radius = std::max(radius, d + fa.ext.max());
-    auto [it, inserted] = depth.emplace(fa.lhs, d);
-    if (!inserted) it->second = std::max(it->second, d);
-  }
-
-  plan.splittable = true;
-  plan.radius = radius;
-  return plan;
-}
-
 // --- Concurrent runtime -----------------------------------------------------
 
 ConcurrentRuntime::ConcurrentRuntime(const ir::Program& program, const HaloUpdater& halo,
@@ -451,25 +308,24 @@ ConcurrentRuntime::ConcurrentRuntime(const ir::Program& program, const HaloUpdat
     : halo_(halo),
       ranks_(std::move(ranks)),
       options_(options),
+      program_(program),
       comm_(static_cast<int>(ranks_.size()), options.channel) {
   CY_REQUIRE_MSG(!ranks_.empty(), "need at least one rank");
   CY_REQUIRE_MSG(static_cast<int>(ranks_.size()) == halo.partitioner().num_ranks(),
                  "rank count mismatch with halo updater");
   for (const auto& rd : ranks_) CY_REQUIRE_MSG(rd.catalog, "rank without catalog");
 
-  // One program copy per rank, each with its own run options and executor
-  // caches. The copy shares the stencil IR (shared_ptr); the executors are
-  // immutable too and could be shared, but each copy still builds its own.
+  // One program for every rank thread. Executors do not depend on the run
+  // options, so the copy keeps the caller's executors and JIT module;
+  // precompile() only builds what the caller had not, here on the
+  // coordinator thread, before any rank thread reads the caches.
   exec::RunOptions per_rank = options_.run;
   per_rank.num_threads = options_.run.threads_per_rank > 0 ? options_.run.threads_per_rank : 1;
-  programs_.reserve(ranks_.size());
-  for (size_t r = 0; r < ranks_.size(); ++r) {
-    programs_.push_back(program);
-    programs_.back().invalidate_compiled();
-    programs_.back().set_run_options(per_rank);
-    programs_.back().precompile();
-  }
-  analyze_states();
+  program_.set_run_options(per_rank);
+  program_.precompile();
+  order_ = program_.flatten_execution_order();
+  halo_only_.reserve(program_.states().size());
+  for (const ir::State& st : program_.states()) halo_only_.push_back(is_halo_only(st) ? 1 : 0);
 
   heartbeats_ = std::make_unique<std::atomic<long>[]>(ranks_.size());
   for (size_t r = 0; r < ranks_.size(); ++r) heartbeats_[r].store(0, std::memory_order_relaxed);
@@ -494,45 +350,10 @@ void ConcurrentRuntime::set_fault_options(const FaultPlan& faults, const Recover
   step_index_ = 0;
 }
 
-void ConcurrentRuntime::analyze_states() {
-  const ir::Program& program = programs_[0];
-  const size_t nstates = program.states().size();
-  order_ = program.flatten_execution_order();
-  halo_only_.assign(nstates, 0);
-  plans_.assign(nstates, OverlapPlan{});
-  for (size_t s = 0; s < nstates; ++s) {
-    halo_only_[s] = is_halo_only(program.states()[s]) ? 1 : 0;
-    if (!halo_only_[s]) plans_[s] = analyze_overlap(program, static_cast<int>(s));
-  }
-}
-
-bool ConcurrentRuntime::fuses_next(int rank, size_t p) const {
-  if (!options_.overlap || p + 1 >= order_.size()) return false;
-  const OverlapPlan& plan = plans_[static_cast<size_t>(order_[p + 1])];
-  if (!plan.splittable) return false;
-  const exec::LaunchDomain& dom = ranks_[static_cast<size_t>(rank)].dom;
-  // The four rim strips tile the boundary only while 2R fits the subdomain;
-  // smaller ranks fall back to compute-after-exchange (still bitwise equal).
-  return dom.ni >= 2 * plan.radius && dom.nj >= 2 * plan.radius;
-}
-
-void ConcurrentRuntime::execute_with_ext(int rank, int state_index, const exec::DomainExt& ext) {
-  RankDomain& rd = ranks_[static_cast<size_t>(rank)];
-  exec::LaunchDomain dom = rd.dom;
-  dom.ext.ilo += ext.ilo;
-  dom.ext.ihi += ext.ihi;
-  dom.ext.jlo += ext.jlo;
-  dom.ext.jhi += ext.jhi;
-  programs_[static_cast<size_t>(rank)].execute_state(state_index, *rd.catalog, dom);
-}
-
 void ConcurrentRuntime::run_rank(int rank) {
   RankDomain& rd = ranks_[static_cast<size_t>(rank)];
-  const ir::Program& prog = programs_[static_cast<size_t>(rank)];
   // Heartbeat + injected-failure hook for position `p` of the flattened
-  // order. Called at the top of every iteration AND for a state the overlap
-  // path consumes early, so a planned kill point fires regardless of whether
-  // its state runs standalone or fused into the preceding exchange.
+  // order, called once per position before its state runs.
   const auto maybe_fail = [&](size_t p) {
     heartbeats_[static_cast<size_t>(rank)].fetch_add(1, std::memory_order_relaxed);
     // Synthetic straggler: burn wall time only. The busy-wait touches no
@@ -562,32 +383,12 @@ void ConcurrentRuntime::run_rank(int rank) {
     maybe_fail(p);
     const int sidx = order_[p];
     if (!halo_only_[static_cast<size_t>(sidx)]) {
-      prog.execute_state(sidx, *rd.catalog, rd.dom);
+      program_.execute_state(sidx, *rd.catalog, rd.dom);
       continue;
     }
-    const ir::State& st = prog.states()[static_cast<size_t>(sidx)];
+    const ir::State& st = program_.states()[static_cast<size_t>(sidx)];
     for (const auto& node : st.nodes) start_halo_node_rank(halo_, node, rd, rank, comm_);
-    if (!fuses_next(rank, p)) {
-      for (const auto& node : st.nodes) finish_halo_node_rank(halo_, node, rd, rank, comm_);
-      continue;
-    }
-    const int next = order_[p + 1];
-    maybe_fail(p + 1);  // the fused state's kill point, before its interior runs
-    const int R = plans_[static_cast<size_t>(next)].radius;
-    // Interior: shrink all four sides by R. Every cell it writes depends
-    // only on owned pre-state data, so it runs while messages are in
-    // flight (the exchange touches halo cells only).
-    execute_with_ext(rank, next, exec::DomainExt{-R, -R, -R, -R});
     for (const auto& node : st.nodes) finish_halo_node_rank(halo_, node, rd, rank, comm_);
-    if (R > 0) {
-      // Rim: south/north full-width strips, west/east between them.
-      const int ni = rd.dom.ni, nj = rd.dom.nj;
-      execute_with_ext(rank, next, exec::DomainExt{0, 0, 0, R - nj});
-      execute_with_ext(rank, next, exec::DomainExt{0, 0, -(nj - R), 0});
-      execute_with_ext(rank, next, exec::DomainExt{0, R - ni, -R, -R});
-      execute_with_ext(rank, next, exec::DomainExt{-(ni - R), 0, -R, -R});
-    }
-    ++p;  // the split state is done; skip its position in the order
   }
 }
 
@@ -596,28 +397,19 @@ void ConcurrentRuntime::online_retune() {
   if (!online_) {
     tune::OnlineOptions oo;
     // Model the subdomain ranks actually run (rank 0's placement — tuning
-    // decisions are shape-level and applied identically to every rank, so
-    // all rank copies stay structurally identical for the halo collectives).
+    // decisions are shape-level, and the one program serves every rank).
     oo.tuning.dom = ranks_[0].dom;
     oo.tuning.run = options_.run;
     oo.db_path = options_.run.tune_db;
-    online_ = std::make_unique<tune::OnlineTuner>(programs_[0], oo);
+    online_ = std::make_unique<tune::OnlineTuner>(program_, oo);
   }
   if (online_->done()) return;
   if (online_->tune_slice() == 0) return;
-  bool swapped = false;
-  for (ir::Program& program : programs_) {
-    // Every rank copy receives the same staged swaps.
-    swapped = !online_->hot_swap(program).empty();
-    // Rebuild executor caches (and, on the JIT backend, run codegen and the
-    // host compiler) here on the coordinator thread — spare cycles between
-    // steps — so swapped kernels never compile on a rank thread's hot path.
-    program.precompile();
-  }
-  // The tables were derived from the pre-swap states; a fused state can
-  // change its splittability or read radius, so re-derive them before any
-  // rank uses them.
-  if (swapped) analyze_states();
+  online_->hot_swap(program_);
+  // Rebuild the executor caches (and, on the JIT backend, run codegen and
+  // the host compiler) here on the coordinator thread — spare cycles
+  // between steps — so rank threads only ever read them.
+  program_.precompile();
   online_->commit();
 }
 
@@ -718,15 +510,6 @@ void ConcurrentRuntime::step() {
   }
 
   ++step_index_;
-  ++stats_.steps;
-  for (size_t p = 0; p < order_.size(); ++p) {
-    if (!halo_only_[static_cast<size_t>(order_[p])]) continue;
-    ++stats_.halo_states;
-    if (fuses_next(0, p)) {
-      ++stats_.overlapped_states;
-      ++p;
-    }
-  }
 }
 
 RunReport ConcurrentRuntime::run(int nsteps) {

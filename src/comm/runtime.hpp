@@ -198,36 +198,6 @@ void run_halo_node(const HaloUpdater& halo, const ir::SNode& node,
 /// public calls (per-state tracing, for one).
 bool is_halo_only(const ir::State& st);
 
-/// Whether (and how deep) a state's launch may be split into an interior
-/// region — computable while halo messages are in flight — and a rim of
-/// four boundary strips computed after the exchange completes.
-struct OverlapPlan {
-  bool splittable = false;
-  /// Transitive horizontal read radius of the state: every cell at owned
-  /// depth >= radius is computed, through all intermediates and apply
-  /// extensions, from owned pre-state cells only. The interior launch
-  /// shrinks all four sides by this much.
-  int radius = 0;
-  /// Why the state cannot be split (diagnostics / tests).
-  std::string reason;
-};
-
-/// Analyze one state of a program for interior/rim splittability. A state
-/// splits iff every node is a stencil and:
-///  - no statement reads its own LHS at a nonzero horizontal offset;
-///  - no statement reads a field at a nonzero horizontal offset that the
-///    same or a later statement of the state writes (anti-dependence: the
-///    rim pass would observe post-state values where the full launch saw
-///    pre-state ones);
-///  - zero-offset anti-dependences (read-modify-write updates) only occur
-///    between statements whose apply rectangles match the launch rectangle
-///    exactly (zero write extent and zero node extension), so the interior
-///    and the four rim strips tile the domain exactly once per cell.
-/// Flow dependences (writer strictly earlier) are safe at any offset: each
-/// sub-launch recomputes the intermediate over its own support region, and
-/// recomputation is a pure function of pre-state inputs.
-OverlapPlan analyze_overlap(const ir::Program& program, int state_index);
-
 /// Synthetic per-rank slowdown: a deterministic busy-wait added to one
 /// rank's execution at every state of the flattened order. Pure wall-time —
 /// no data path is touched, so results stay bitwise identical — which makes
@@ -241,13 +211,9 @@ struct ImbalancePlan {
 
 /// Options of the concurrent runtime.
 struct RuntimeOptions {
-  /// Split halo-dependent states into interior + rim to overlap compute
-  /// with communication (off = compute strictly after finish_exchange;
-  /// results are bitwise identical either way).
-  bool overlap = true;
-  /// Engine options applied to every rank's program copy. The OpenMP team
-  /// of each rank thread is capped at run.threads_per_rank (0 = serial
-  /// per-rank execution, one hardware thread per rank).
+  /// Engine options of the runtime's program. The OpenMP team of each rank
+  /// thread is capped at run.threads_per_rank (0 = serial per-rank
+  /// execution, one hardware thread per rank).
   exec::RunOptions run{};
   /// Channel behavior (recv timeout, arrival jitter, simulated network).
   ConcurrentComm::Options channel{};
@@ -261,26 +227,26 @@ struct RuntimeOptions {
   ImbalancePlan imbalance{};
 };
 
-/// Cumulative execution statistics (written between steps, not by rank
-/// threads; safe to read when no step is running).
-struct RuntimeStats {
-  long steps = 0;
-  long halo_states = 0;       ///< halo-only state executions per rank
-  long overlapped_states = 0; ///< compute states overlapped with a halo state
-};
-
 /// Thread-per-rank distributed runtime: every rank executes the program on
-/// its own std::thread and exchanges halos through a ConcurrentComm. At a
-/// halo-only state each rank posts its sends, optionally computes the
-/// *interior* of the next state while messages are in flight, then blocks
-/// in recv, fills cube corners, and computes the rim strips.
+/// its own std::thread and exchanges halos through a ConcurrentComm. A
+/// halo-only state posts the rank's sends, then blocks in recv and fills
+/// cube corners; a compute state runs whole on the rank's subdomain, as in
+/// lockstep.
+///
+/// One program serves every rank thread: a copy of the caller's program
+/// with the per-rank run options, sharing the caller's executors and JIT
+/// module. Rank threads only read its executor caches. That holds because
+/// precompile() warms them on the coordinator thread before any rank thread
+/// starts, and again after every online hot-swap, between steps.
+/// Program::require_serial_build refuses a cache miss only inside an OpenMP
+/// region, not on a std::thread, so this ordering is what keeps the caches
+/// race-free.
 ///
 /// Determinism: field ownership is static (each rank thread writes only its
 /// own catalog; remote data crosses only as packed channel messages), the
-/// channel is FIFO per (src, dst, tag), and the interior/rim split changes
-/// the iteration-space decomposition but not any statement's inputs — so
-/// the runtime is bitwise identical to run_lockstep_step for every rank
-/// count, thread budget, and message arrival order.
+/// channel is FIFO per (src, dst, tag), and every state runs whole on every
+/// rank, so the runtime is bitwise identical to run_lockstep_step for every
+/// rank count, thread budget, and message arrival order.
 class ConcurrentRuntime {
  public:
   ConcurrentRuntime(const ir::Program& program, const HaloUpdater& halo,
@@ -300,13 +266,12 @@ class ConcurrentRuntime {
   /// also degrades to a failing report.
   RunReport run(int nsteps);
 
-  /// Swap the fault plan and recovery policy without rebuilding the per-rank
-  /// program copies (chaos sweeps reuse one runtime across hundreds of
-  /// plans). Resets channel transport state and pool accounting.
+  /// Swap the fault plan and recovery policy without rebuilding the runtime
+  /// (chaos sweeps reuse one runtime across hundreds of plans). Resets
+  /// channel transport state and pool accounting.
   void set_fault_options(const FaultPlan& faults, const RecoveryOptions& recovery);
 
   [[nodiscard]] ConcurrentComm& comm() { return comm_; }
-  [[nodiscard]] const RuntimeStats& stats() const { return stats_; }
 
   /// Per-rank heartbeat/pacing snapshot (valid between steps). The EWMA step
   /// times are what the elastic LoadBalancer consumes.
@@ -323,9 +288,6 @@ class ConcurrentRuntime {
   /// imbalance plans are keyed in global steps — a fresh epoch must not
   /// restart the clock at 0.
   void set_step_index(long step) { step_index_ = step; }
-  [[nodiscard]] const OverlapPlan& plan(int state_index) const {
-    return plans_[static_cast<size_t>(state_index)];
-  }
   [[nodiscard]] const RuntimeOptions& options() const { return options_; }
   [[nodiscard]] const HaloUpdater& halo() const { return halo_; }
 
@@ -337,26 +299,16 @@ class ConcurrentRuntime {
  private:
   void run_rank(int rank);
   void online_retune();
-  /// (Re)derive order_, halo_only_ and plans_ from rank 0's program copy
-  /// (every copy is structurally identical).
-  void analyze_states();
-  void execute_with_ext(int rank, int state_index, const exec::DomainExt& ext);
-  /// Whether `rank` fuses the state after position `p` of the order (a
-  /// halo-only state) into the exchange: interior while messages fly, rim
-  /// after the wait.
-  [[nodiscard]] bool fuses_next(int rank, size_t p) const;
 
   const HaloUpdater& halo_;
   std::vector<RankDomain> ranks_;
   RuntimeOptions options_;
-  /// One program copy per rank, with the rank thread's run options and its
-  /// own executor caches, warmed by precompile().
-  std::vector<ir::Program> programs_;
-  std::vector<int> order_;          ///< flattened state execution order
-  std::vector<char> halo_only_;     ///< per state: all nodes are HaloExchange
-  std::vector<OverlapPlan> plans_;  ///< per state
+  /// The program every rank thread runs: the caller's program with the
+  /// per-rank run options, precompiled before any rank thread starts.
+  ir::Program program_;
+  std::vector<int> order_;       ///< flattened state execution order
+  std::vector<char> halo_only_;  ///< per state: all nodes are HaloExchange
   ConcurrentComm comm_;
-  RuntimeStats stats_;
   /// Injected rank-failure oracle (crash/hang one-shot latch). Null without
   /// a planned failure; the channel holds its own injector for wire faults.
   std::unique_ptr<FaultInjector> fail_injector_;
@@ -373,9 +325,9 @@ class ConcurrentRuntime {
   /// every successful step.
   std::vector<RankHealth> health_;
   /// Between-steps re-tuner (run.tune_mode == Online). Created lazily on
-  /// the first step; hot-swaps improved states into every rank's program
-  /// copy at step boundaries only — rank threads are joined, so no executor
-  /// observes a swap mid-flight.
+  /// the first step; hot-swaps improved states into program_ at step
+  /// boundaries only — rank threads are joined, so no executor observes a
+  /// swap mid-flight.
   std::unique_ptr<tune::OnlineTuner> online_;
 };
 

@@ -185,8 +185,8 @@ struct Cell {
 /// and must (a) complete, (b) match the lockstep reference bitwise, (c)
 /// send exactly the reference's messages and bytes unless it rolled back,
 /// and (d) return every halo staging buffer to its pool. A runtime is reused
-/// across cells until one asks for a rebuild (per-rank program copies are
-/// costly to make).
+/// across cells until one asks for a rebuild (a cell with its own channel
+/// jitter or thread budget).
 EquivalenceReport sweep(
     const Harness& h, const std::vector<Cell>& cells,
     const std::function<std::unique_ptr<comm::CheckpointStore>()>& make_store = {}) {
@@ -272,20 +272,16 @@ EquivalenceReport check_distributed_agrees(const ir::Program& program,
   const Harness h(program, part, nk, halo_width, options.data_seed, start, options.steps);
   std::vector<Cell> cells;
   for (const int budget : options.thread_budgets) {
-    for (const bool overlap : {true, false}) {
-      for (int rep = 0; rep < options.repetitions; ++rep) {
-        Cell cell;
-        cell.rebuild = true;
-        cell.seed = Rng::mix(options.data_seed ^ 0xA221117ull, cells.size());
-        cell.runtime.overlap = overlap;
-        cell.runtime.run = program.run_options();
-        cell.runtime.run.threads_per_rank = budget;
-        cell.runtime.channel.recv_timeout_seconds = options.recv_timeout_seconds;
-        cell.runtime.channel.arrival_jitter_seed = cell.seed;
-        cell.what = "threads_per_rank=" + std::to_string(budget) +
-                    " overlap=" + (overlap ? "on" : "off") + " rep=" + std::to_string(rep);
-        cells.push_back(std::move(cell));
-      }
+    for (int rep = 0; rep < options.repetitions; ++rep) {
+      Cell cell;
+      cell.rebuild = true;
+      cell.seed = Rng::mix(options.data_seed ^ 0xA221117ull, cells.size());
+      cell.runtime.run = program.run_options();
+      cell.runtime.run.threads_per_rank = budget;
+      cell.runtime.channel.recv_timeout_seconds = options.recv_timeout_seconds;
+      cell.runtime.channel.arrival_jitter_seed = cell.seed;
+      cell.what = "threads_per_rank=" + std::to_string(budget) + " rep=" + std::to_string(rep);
+      cells.push_back(std::move(cell));
     }
   }
   return sweep(h, cells);

@@ -54,7 +54,7 @@ DomainResult compare_owned(const FieldCatalog& ref, const grid::Partitioner& par
 // ---- Test programs ------------------------------------------------------------
 
 /// exchange(q) -> lap = 5-point laplacian of q -> out = 5-point of lap: one
-/// scalar exchange and a radius-2 overlap.
+/// scalar exchange and a radius-2 read.
 ir::Program make_diffusion_program();
 
 /// Vector exchange (u, v) + divergence: the rotated-component wire path
@@ -91,14 +91,14 @@ struct DistributedVerifyOptions {
 
 /// Verify that the thread-per-rank concurrent runtime reproduces the
 /// sequential lockstep scheduler bitwise — every field of every rank,
-/// halos included, at 0 ULP — for every thread budget, overlap on and off,
-/// and randomized message arrival order. Channel message/byte counters must
+/// halos included, at 0 ULP — for every thread budget and randomized
+/// message arrival order. Channel message/byte counters must
 /// also match the SimComm totals.
 ///
 /// `start` is the starting state of every rank of `part` (rank order, `nk`
 /// levels); it is copied, never written. Empty = seeded_catalogs(program,
 /// ..., data_seed). One DomainResult is recorded per (thread budget,
-/// overlap mode, repetition); its fill_seed logs the jitter seed so any
+/// repetition); its fill_seed logs the jitter seed so any
 /// failure replays bit-exactly. The partitioner requires a rank count that
 /// is a positive multiple of 6 (one cubed-sphere face per tile), so 6 is the
 /// smallest verifiable layout.

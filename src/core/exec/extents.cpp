@@ -190,25 +190,6 @@ std::vector<StmtInfo> compute_stmt_info(const dsl::StencilFunc& stencil) {
   return info;
 }
 
-std::vector<StmtAccess> collect_stmt_accesses(const dsl::StencilFunc& stencil) {
-  const auto flat = flatten_with_intervals(stencil);
-  const auto info = compute_stmt_info(stencil);
-  std::vector<StmtAccess> out(flat.size());
-  for (size_t idx = 0; idx < flat.size(); ++idx) {
-    const Stmt& stmt = *flat[idx].stmt;
-    out[idx].lhs = stmt.lhs;
-    out[idx].lhs_is_temp = stencil.is_temporary(stmt.lhs);
-    out[idx].self_read_offset = info[idx].self_read_offset;
-    out[idx].write_extent = info[idx].write_extent;
-    dsl::AccessInfo acc;
-    dsl::collect_accesses(stmt.rhs, acc);
-    for (const auto& [name, ext] : acc.reads) {
-      out[idx].reads.push_back(StmtAccess::Read{name, stencil.is_temporary(name), ext});
-    }
-  }
-  return out;
-}
-
 std::map<std::string, TempAlloc> compute_temp_allocs(const dsl::StencilFunc& stencil) {
   const auto flat = flatten_with_intervals(stencil);
   const auto info = compute_stmt_info(stencil);

@@ -51,26 +51,4 @@ struct TempAlloc {
 /// with.
 std::map<std::string, TempAlloc> compute_temp_allocs(const dsl::StencilFunc& stencil);
 
-/// Horizontal access summary of one flattened statement — the raw material of
-/// the concurrent runtime's interior/rim overlap analysis (comm/runtime.cpp),
-/// which needs read offsets and apply extensions per statement to decide
-/// whether a state may be split and how deep the rim must be.
-struct StmtAccess {
-  std::string lhs;
-  bool lhs_is_temp = false;
-  bool self_read_offset = false;
-  /// Horizontal apply extension from the extent analysis (write_extent of
-  /// compute_stmt_info; the k component is analysis-only).
-  dsl::Extent write_extent;
-  struct Read {
-    std::string name;
-    bool is_temp = false;
-    dsl::Extent ext;
-  };
-  std::vector<Read> reads;
-};
-
-/// Per-statement horizontal access summaries in flattened order.
-std::vector<StmtAccess> collect_stmt_accesses(const dsl::StencilFunc& stencil);
-
 }  // namespace cyclone::exec

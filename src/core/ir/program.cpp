@@ -83,8 +83,7 @@ void Program::exec_state(const State& state, FieldCatalog& catalog,
       case SNode::Kind::Stencil: {
         exec::LaunchDomain node_dom = dom;
         // Compose the node's own extension with the caller's launch-level
-        // extension (the concurrent runtime passes negative extensions to
-        // shrink a launch to its interior, or offsets to select a rim strip).
+        // extension.
         node_dom.ext.ilo = node.ext.ilo + dom.ext.ilo;
         node_dom.ext.ihi = node.ext.ihi + dom.ext.ihi;
         node_dom.ext.jlo = node.ext.jlo + dom.ext.jlo;

@@ -155,15 +155,14 @@ int OnlineTuner::tune_slice() {
   return staged_now;
 }
 
-std::vector<int> OnlineTuner::hot_swap(ir::Program& target) const {
-  std::vector<int> swapped;
+void OnlineTuner::hot_swap(ir::Program& target) const {
+  bool swapped = false;
   for (const auto& swap : staged_) {
     if (swap.state < 0 || swap.state >= static_cast<int>(target.states().size())) continue;
     target.states()[static_cast<size_t>(swap.state)] = swap.replacement;
-    swapped.push_back(swap.state);
+    swapped = true;
   }
-  if (!swapped.empty()) target.invalidate_compiled();
-  return swapped;
+  if (swapped) target.invalidate_compiled();
 }
 
 void OnlineTuner::commit() {

@@ -46,14 +46,13 @@ struct OnlineStats {
 /// boundaries; it examines one (or a few) not-yet-tuned program states per
 /// slice — schedule enumeration plus greedy in-state fusion, scored on the
 /// Fig. 10 model — and stages any modeled improvement. The runtime then
-/// hot-swaps the staged states into every rank's program copy *at the step
-/// boundary* (never mid-step: rank threads are joined, so no executor is
-/// running) and resumes. Every rewrite is semantics-preserving, so a
+/// hot-swaps the staged states into the program its rank threads share *at
+/// the step boundary* (never mid-step: rank threads are joined, so no
+/// executor is running), precompiles it, and resumes. Every rewrite is semantics-preserving, so a
 /// re-tuned run is bitwise identical to a never-tuned one.
 class OnlineTuner {
  public:
-  /// `program` is the shape being run (any rank's copy — states are
-  /// identical across ranks).
+  /// `program` is the shape being run (one program serves every rank).
   OnlineTuner(const ir::Program& program, OnlineOptions options);
   ~OnlineTuner();
 
@@ -62,13 +61,12 @@ class OnlineTuner {
   /// once done().
   int tune_slice();
 
-  /// Apply every currently-staged rewrite to `target` (call once per
-  /// program copy), invalidating its compiled caches if anything changed.
-  /// Returns the swapped state indices (callers re-derive state-dependent
-  /// plans — overlap analysis — for exactly these).
-  std::vector<int> hot_swap(ir::Program& target) const;
+  /// Apply every currently-staged rewrite to `target`, invalidating its
+  /// compiled caches if anything changed; the caller precompiles it again
+  /// before any thread executes it.
+  void hot_swap(ir::Program& target) const;
 
-  /// Forget the staged set once every copy has been swapped; flushes the
+  /// Forget the staged set once the target has been swapped; flushes the
   /// DB when one is attached.
   void commit();
 

@@ -36,7 +36,7 @@ struct EnsembleOptions {
   enum class Scheduler { Batched, Concurrent };
   Scheduler scheduler = Scheduler::Batched;
   /// Runtime options for the Concurrent scheduler and run_resilient()
-  /// (overlap, channel jitter, fault plan, recovery). faults.seed is
+  /// (channel jitter, fault plan, recovery). faults.seed is
   /// re-derived per member (Rng::mix with the member slot) so members draw
   /// decorrelated fault streams from one configured seed.
   comm::RuntimeOptions runtime{};

@@ -26,7 +26,7 @@ void ModelDriver::set_run_options(const exec::RunOptions& run) {
   program_.set_run_options(run);
   // Lockstep halo nodes pack and unpack ranks on the compute team's size.
   halo_.set_num_threads(exec::resolved_num_threads(run));
-  runtime_.reset();  // per-rank program copies carry stale options
+  runtime_.reset();  // the runtime's program copy carries the old options
 }
 
 void ModelDriver::set_runtime_options(const comm::RuntimeOptions& options) {
@@ -38,6 +38,9 @@ comm::ConcurrentRuntime& ModelDriver::concurrent_runtime() {
   if (!runtime_) {
     comm::RuntimeOptions options = runtime_options_;
     options.run = program_.run_options();
+    // Warm program_ itself, so every runtime built from it (after a change
+    // of options, say) shares one set of executors.
+    program_.precompile();
     runtime_ = std::make_unique<comm::ConcurrentRuntime>(program_, halo_, ranks_, options);
   }
   return *runtime_;

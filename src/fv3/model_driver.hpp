@@ -38,9 +38,9 @@ void apply_production_passes(ir::Program& program, const exec::LaunchDomain& dom
 ///    through the deterministic SimComm mailboxes — the reference
 ///    scheduler.
 ///  - Concurrent: every rank runs on its own thread against a real
-///    mutex/condvar channel (comm::ConcurrentRuntime), optionally
-///    overlapping interior compute with in-flight halo exchanges. Bitwise
-///    identical to Lockstep by construction (verified in
+///    mutex/condvar channel (comm::ConcurrentRuntime), all rank threads on
+///    one copy of the program that shares its executors. Bitwise identical
+///    to Lockstep by construction (verified in
 ///    verify::check_distributed_agrees).
 ///
 /// The program is shared — horizontal regions resolve per rank through the
@@ -70,7 +70,7 @@ class ModelDriver {
   /// The Interpreter backend ignores the thread options (it stays the
   /// serial oracle). The resolved team size also packs and unpacks the
   /// ranks of a lockstep halo exchange in parallel (bitwise the same at any
-  /// size). In Concurrent mode these also seed the per-rank programs
+  /// size). In Concurrent mode these also become the runtime's run options
   /// (threads_per_rank caps each rank's OpenMP team).
   void set_run_options(const exec::RunOptions& run);
   [[nodiscard]] const exec::RunOptions& run_options() const { return program_.run_options(); }
@@ -80,11 +80,11 @@ class ModelDriver {
   void set_exec_mode(ExecMode mode) { exec_mode_ = mode; }
   [[nodiscard]] ExecMode exec_mode() const { return exec_mode_; }
 
-  /// Concurrent-runtime behavior (overlap on/off, channel jitter/timeout).
+  /// Concurrent-runtime behavior (channel jitter/timeout, faults, recovery).
   /// The `run` member is overwritten from run_options() at build time.
   void set_runtime_options(const comm::RuntimeOptions& options);
 
-  /// The concurrent runtime (built on demand) — stats, channel counters.
+  /// The concurrent runtime (built on demand) — channel counters, health.
   [[nodiscard]] comm::ConcurrentRuntime& concurrent_runtime();
 
   /// Advance one physics timestep on every rank.

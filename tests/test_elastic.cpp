@@ -9,6 +9,7 @@
 #include "comm/elastic.hpp"
 #include "comm/simcomm.hpp"
 #include "comm/verify_elastic.hpp"
+#include "core/exec/jit/cache.hpp"
 #include "core/verify/corpus.hpp"
 #include "core/verify/verify.hpp"
 #include "grid/partitioner.hpp"
@@ -264,6 +265,39 @@ TEST(Elastic, ResizeToMinimumRosterRuns) {
 
   const FieldCatalog ref = verify::lockstep_owned(
       p, grid::Partitioner::for_ranks(n, 24), nk, 3, seed, steps);
+  expect_bitwise_vs_reference(ert, ref);
+}
+
+TEST(Elastic, ResizeOfPreparedJitProgramBuildsNoKernel) {
+  // Every roster's runtime is one copy of the elastic runtime's program,
+  // which keeps the caller's executors and JIT module: a run through a
+  // re-roster neither compiles nor looks up a kernel, and stays bitwise.
+  ir::Program p = verify::make_elastic_program();
+  exec::RunOptions run;
+  run.backend = exec::ExecBackend::Jit;
+  run.num_threads = 1;
+  p.set_run_options(run);
+  p.precompile();
+  const int n = 12, nk = 2, steps = 3;
+  const uint64_t seed = 0x5EED;
+  const grid::Partitioner part = grid::Partitioner::for_ranks(n, 12);
+  auto cats = seeded_catalogs(p, launch_domains(part, nk), seed);
+  const FieldCatalog ref = verify::lockstep_owned(p, part, nk, 3, seed, steps);
+
+  ElasticOptions eo;
+  eo.runtime.run = p.run_options();
+  eo.plan.events = {{1, 6}};
+  const exec::jit::CacheStats before = exec::jit::KernelCache::global().stats();
+  ElasticRuntime ert(p, nk, 3, part, std::move(cats), eo);
+  const ElasticReport report = ert.run(steps);
+  const exec::jit::CacheStats after = exec::jit::KernelCache::global().stats();
+  EXPECT_EQ(after.compiles, before.compiles);
+  EXPECT_EQ(after.disk_hits, before.disk_hits);
+  EXPECT_EQ(after.mem_hits, before.mem_hits);
+
+  EXPECT_TRUE(report.ok) << report.failure;
+  EXPECT_EQ(report.resizes, 1);
+  EXPECT_EQ(ert.num_ranks(), 6);
   expect_bitwise_vs_reference(ert, ref);
 }
 

@@ -744,8 +744,8 @@ TEST(ForecastServiceChaos, CachedProgramCopiedPerRankStaysBitwiseCorrect) {
   ensemble::ForecastService service(options);
 
   // A clean batch fills the shape cache; the chaos batch of the same shape
-  // then runs every member's concurrent runtime on per-rank copies of the
-  // cached program.
+  // then runs every member's concurrent runtime on a copy of the cached
+  // program that all its rank threads share.
   const ForecastRequest clean = swe_request("vortex", 2, 0xBEEFull, 2);
   const ForecastResult reference = service.submit(clean).result.get();
   ASSERT_TRUE(reference.ok) << reference.error;

@@ -6,8 +6,10 @@
 #include <vector>
 
 #include "comm/runtime.hpp"
+#include "comm/simcomm.hpp"
 #include "comm/verify_distributed.hpp"
 #include "core/dsl/builder.hpp"
+#include "core/exec/jit/cache.hpp"
 #include "fv3/init/baroclinic.hpp"
 #include "grid/partitioner.hpp"
 
@@ -36,82 +38,11 @@ ir::Program make_looped_program() {
   return p;
 }
 
-// ---- Overlap analysis ------------------------------------------------------
-
-TEST(Runtime, OverlapAnalysisComposesReadRadius) {
-  const ir::Program p = make_diffusion_program();
-  const OverlapPlan plan = analyze_overlap(p, 1);
-  EXPECT_TRUE(plan.splittable) << plan.reason;
-  // lap reads q at offset 1 (depth 1); out reads lap at offset 1 on top.
-  EXPECT_EQ(plan.radius, 2);
-  // The halo-only state itself is not a compute state.
-  EXPECT_FALSE(analyze_overlap(p, 0).splittable);
-}
-
-TEST(Runtime, OverlapAnalysisRejectsAntiDependence) {
-  // a = q(+1); q = a: the rim pass would re-read a cell of q that the full
-  // launch already overwrote.
-  ir::Program p("anti");
-  StencilBuilder b("anti");
-  auto q = b.field("q");
-  auto a = b.field("a");
-  b.parallel().full().assign(a, q(1, 0) * 2.0);
-  b.parallel().full().assign(q, E(a) + 1.0);
-  p.append_state(ir::State{"s", {ir::SNode::make_stencil("anti", b.build())}});
-  const OverlapPlan plan = analyze_overlap(p, 0);
-  EXPECT_FALSE(plan.splittable);
-  EXPECT_NE(plan.reason.find("'q'"), std::string::npos) << plan.reason;
-}
-
-TEST(Runtime, OverlapAnalysisRejectsSelfOffsetRead) {
-  // q = q(+1): reads its own LHS at a horizontal offset.
-  ir::Program p("shift");
-  StencilBuilder b("shift");
-  auto q = b.field("q");
-  b.parallel().full().assign(q, q(1, 0));
-  p.append_state(ir::State{"s", {ir::SNode::make_stencil("shift", b.build())}});
-  EXPECT_FALSE(analyze_overlap(p, 0).splittable);
-}
-
-TEST(Runtime, OverlapAnalysisRejectsMismatchedWriterExtents) {
-  // Two nodes write the same field with different apply extensions: a rim
-  // launch would run the wider writer over cells whose final value the full
-  // launch took from the narrower one.
-  ir::Program p("outdep");
-  auto make_set = [](const std::string& label, double value) {
-    StencilBuilder b(label);
-    auto q = b.field("q");
-    auto src = b.field("src");
-    b.parallel().full().assign(q, E(src) * 0.0 + value);
-    return b.build();
-  };
-  ir::SNode wide = ir::SNode::make_stencil("wide", make_set("wide", 1.0));
-  wide.ext = exec::DomainExt{1, 1, 1, 1};
-  ir::SNode narrow = ir::SNode::make_stencil("narrow", make_set("narrow", 2.0));
-  p.append_state(ir::State{"s", {std::move(wide), std::move(narrow)}});
-  const OverlapPlan plan = analyze_overlap(p, 0);
-  EXPECT_FALSE(plan.splittable);
-  EXPECT_NE(plan.reason.find("extension"), std::string::npos) << plan.reason;
-}
-
-TEST(Runtime, OverlapAnalysisAllowsVerticalRecurrence) {
-  // Column sweep reading its own k-1 value: every sub-launch re-runs the
-  // whole column, so the recurrence recomputes identically.
-  ir::Program p("cumsum");
-  StencilBuilder b("cumsum");
-  auto a = b.field("a");
-  b.forward().interval(dsl::inner_levels(1, 0)).assign(a, a.at_k(-1) + E(a));
-  p.append_state(ir::State{"s", {ir::SNode::make_stencil("cumsum", b.build())}});
-  const OverlapPlan plan = analyze_overlap(p, 0);
-  EXPECT_TRUE(plan.splittable) << plan.reason;
-  EXPECT_EQ(plan.radius, 0);
-}
-
 // ---- Concurrent runtime ----------------------------------------------------
 
 TEST(Distributed, DiffusionAgreesAcrossRankCountsAndBudgets) {
   // The acceptance sweep: rank counts x thread budgets x >= 20 randomized
-  // arrival orders, overlap on and off, all bitwise against lockstep.
+  // arrival orders, all bitwise against lockstep.
   const ir::Program p = make_diffusion_program();
   for (const int nranks : {6, 24}) {
     const grid::Partitioner part = grid::Partitioner::for_ranks(12, nranks);
@@ -120,8 +51,8 @@ TEST(Distributed, DiffusionAgreesAcrossRankCountsAndBudgets) {
     const verify::EquivalenceReport report =
         verify::check_distributed_agrees(p, part, 3, 3, opt);
     EXPECT_TRUE(report.equivalent) << nranks << " ranks: " << report.first_failure();
-    // budgets {1,2} x overlap {on,off} x 20 reps.
-    EXPECT_EQ(report.domains.size(), 80u);
+    // budgets {1,2} x 20 reps.
+    EXPECT_EQ(report.domains.size(), 40u);
   }
 }
 
@@ -144,23 +75,37 @@ TEST(Distributed, LoopedExchangeAgreesOverSteps) {
   EXPECT_TRUE(report.equivalent) << report.first_failure();
 }
 
-TEST(Distributed, OverlapActuallySplitsStates) {
-  // With overlap on, the diffusion step must be executed as interior + rim
-  // (observable through the runtime stats), and still match lockstep (the
-  // agreement is asserted by the sweep above; here we pin the mechanism).
-  const ir::Program p = make_diffusion_program();
+TEST(Runtime, PreparedJitProgramBuildsNoKernel) {
+  // Every rank thread runs one copy of the caller's program, which keeps the
+  // caller's executors and JIT module: building the runtime from a
+  // precompiled program and running a step neither compiles nor looks up a
+  // kernel, and the step still matches lockstep bitwise.
+  ir::Program p = make_diffusion_program();
+  exec::RunOptions run;
+  run.backend = exec::ExecBackend::Jit;
+  p.set_run_options(run);
+  p.precompile();
   const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
   const HaloUpdater halo(part, 3);
   const auto doms = launch_domains(part, 3);
-  std::vector<FieldCatalog> cats = verify::seeded_catalogs(p, doms, 0xABC);
+  std::vector<FieldCatalog> ref = verify::seeded_catalogs(p, doms, 0x5A4E);
+  std::vector<FieldCatalog> got = verify::seeded_catalogs(p, doms, 0x5A4E);
+  std::vector<RankDomain> ref_ranks = bind_ranks(ref, doms);
+  SimComm sim(part.num_ranks());
+  run_lockstep_step(p, halo, ref_ranks, sim);
 
-  ConcurrentRuntime rt(p, halo, bind_ranks(cats, doms), RuntimeOptions{});
-  EXPECT_TRUE(rt.plan(1).splittable);
+  const exec::jit::CacheStats before = exec::jit::KernelCache::global().stats();
+  RuntimeOptions opt;
+  opt.run = p.run_options();
+  opt.run.threads_per_rank = 2;
+  ConcurrentRuntime rt(p, halo, bind_ranks(got, doms), opt);
   rt.step();
-  rt.step();
-  EXPECT_EQ(rt.stats().steps, 2);
-  EXPECT_EQ(rt.stats().halo_states, 2);
-  EXPECT_EQ(rt.stats().overlapped_states, 2);
+  const exec::jit::CacheStats after = exec::jit::KernelCache::global().stats();
+  EXPECT_EQ(after.compiles, before.compiles);
+  EXPECT_EQ(after.disk_hits, before.disk_hits);
+  EXPECT_EQ(after.mem_hits, before.mem_hits);
+  const verify::DomainResult dr = verify::compare_ranks_bitwise(ref_ranks, bind_ranks(got, doms));
+  EXPECT_TRUE(dr.ok) << verify::EquivalenceReport{false, 0, {dr}}.first_failure();
 }
 
 TEST(Distributed, DycoreConcurrentMatchesLockstepBitwise) {

@@ -343,8 +343,8 @@ TEST(OnlineTuner, VerifySwapsGuardAcceptsLegalRewrites) {
 
 TEST(OnlineTuner, ConcurrentRuntimeRetunesAndSwapsBetweenSteps) {
   // Direct runtime check: with run.tune_mode = Online the runtime grows a
-  // tuner, swaps improved states into every rank copy at step boundaries,
-  // and records its progress in the stats.
+  // tuner, swaps improved states into the program every rank thread shares
+  // at step boundaries, and records its progress in the stats.
   const ir::Program p = two_node_diffusion();
   const grid::Partitioner part = grid::Partitioner::for_ranks(12, 6);
   const comm::HaloUpdater halo(part, 3);
@@ -364,7 +364,7 @@ TEST(OnlineTuner, ConcurrentRuntimeRetunesAndSwapsBetweenSteps) {
   EXPECT_GT(stats.staged, 0);
   // A real fusion (not just a schedule flip) was hot-swapped mid-run.
   EXPECT_GT(stats.fusions_applied, 0);
-  // Every staged set was committed after swapping into the rank copies.
+  // Every staged set was committed after swapping into the shared program.
   EXPECT_EQ(stats.swapped, stats.staged);
   EXPECT_GT(stats.swapped, 0);
 }

@@ -19,7 +19,7 @@
 // With --concurrent, the transformed program is additionally run through the
 // thread-per-rank concurrent runtime on --ranks ranks (a multiple of 6) and
 // compared bitwise against the sequential lockstep scheduler across thread
-// budgets, overlap on/off, and randomized message-arrival orders. If a
+// budgets and randomized message-arrival orders. If a
 // placement-dependent pass was applied, the concurrent check falls back to
 // the original program (the transformed one is only valid on the pass
 // placement); the JSON records which subject was checked.
